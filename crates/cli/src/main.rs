@@ -21,8 +21,7 @@ use dtdinfer_engine::source::PathSource;
 use dtdinfer_engine::{snapshot, EngineState};
 use dtdinfer_regex::alphabet::{Alphabet, Word};
 use dtdinfer_xml::dtd::Dtd;
-use dtdinfer_xml::extract::Corpus;
-use dtdinfer_xml::infer::{infer_dtd_with_stats, ElementReport, InferenceEngine};
+use dtdinfer_xml::infer::{ElementReport, InferenceEngine};
 use dtdinfer_xml::xsd::{generate_xsd, XsdOptions};
 use std::io::Read;
 use std::process::ExitCode;
@@ -483,44 +482,8 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
     if files.is_empty() {
         return Err("no input files".to_owned());
     }
-    if let Some(jobs) = jobs {
-        if contextual {
-            return Err("--contextual does not support --jobs yet".to_owned());
-        }
-        obs.activate()?;
-        let ingested = stream_ingest(EngineState::new(), &files, jobs, &obs)?;
-        let (dtd, reports) = ingested.state.derive(engine);
-        if obs.verbose {
-            for r in &reports {
-                eprintln!(
-                    "dtdinfer: element {} engine={} words={} repairs={} in {}",
-                    r.name,
-                    r.engine,
-                    r.words,
-                    r.repairs,
-                    fmt_ns(r.duration_ns)
-                );
-            }
-        }
-        if xsd {
-            // The engine retains counted child-sequence multisets, so the
-            // facts view supports numeric tightening — identical bytes to
-            // the sequential corpus path.
-            let facts = ingested.state.facts_corpus();
-            print!(
-                "{}",
-                generate_xsd(
-                    &dtd,
-                    Some(&facts),
-                    XsdOptions {
-                        numeric_threshold: numeric,
-                    }
-                )
-            );
-        } else {
-            print!("{}", dtd.serialize());
-        }
-        return obs.finish();
+    if contextual && jobs.is_some() {
+        return Err("--contextual does not support --jobs yet".to_owned());
     }
     obs.activate()?;
     if contextual {
@@ -549,8 +512,8 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
         }
         return obs.finish();
     }
-    let corpus = read_corpus(&files, &obs)?;
-    let (dtd, reports) = infer_dtd_with_stats(&corpus, engine);
+    let state = stream_ingest(EngineState::new(), &files, jobs.unwrap_or(1), &obs)?.state;
+    let (dtd, reports) = state.derive(engine);
     if obs.verbose {
         for r in &reports {
             eprintln!(
@@ -568,7 +531,7 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
             "{}",
             generate_xsd(
                 &dtd,
-                Some(&corpus),
+                Some(&state),
                 XsdOptions {
                     numeric_threshold: numeric,
                 }
@@ -578,27 +541,6 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
         print!("{}", dtd.serialize());
     }
     obs.finish()
-}
-
-/// Parses every input file into one corpus, with `-v` progress. Files are
-/// read one at a time into a reused buffer and dropped after extraction,
-/// so peak memory is one document, not the corpus.
-fn read_corpus(files: &[String], obs: &ObsOptions) -> Result<Corpus, String> {
-    let mut corpus = Corpus::new();
-    let mut buf = String::new();
-    for f in files {
-        buf.clear();
-        std::fs::File::open(f)
-            .and_then(|mut file| file.read_to_string(&mut buf))
-            .map_err(|e| format!("{f}: {e}"))?;
-        corpus
-            .add_document_from(&buf, f)
-            .map_err(|e| e.to_string())?;
-        if obs.verbose {
-            eprintln!("dtdinfer: parsed {f}");
-        }
-    }
-    Ok(corpus)
 }
 
 fn parse_jobs(value: Option<&String>) -> Result<usize, String> {
@@ -632,8 +574,10 @@ fn stream_ingest(
     let ingested = ingest_source(base, &source, jobs).map_err(|e| e.to_string())?;
     if obs.verbose {
         eprintln!(
-            "dtdinfer: peak in flight {} byte(s) across {} document(s)",
-            ingested.peak_bytes_in_flight, ingested.peak_docs_in_flight
+            "dtdinfer: parsed {} file(s); peak in flight {} byte(s) across {} document(s)",
+            files.len(),
+            ingested.peak_bytes_in_flight,
+            ingested.peak_docs_in_flight
         );
     }
     Ok(ingested)
@@ -674,16 +618,12 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         return Err("no input files".to_owned());
     }
     obs.activate()?;
-    if let Some(jobs) = jobs {
-        let ingested = stream_ingest(EngineState::new(), &files, jobs, &obs)?;
-        let (_, reports) = ingested.state.derive(engine);
-        print_stats(ingested.state.num_documents, &reports);
+    let ingested = stream_ingest(EngineState::new(), &files, jobs.unwrap_or(1), &obs)?;
+    let (_, reports) = ingested.state.derive(engine);
+    print_stats(ingested.state.num_documents, &reports);
+    if jobs.is_some() {
         print_shards(&ingested);
-        return obs.finish();
     }
-    let corpus = read_corpus(&files, &obs)?;
-    let (_, reports) = infer_dtd_with_stats(&corpus, engine);
-    print_stats(corpus.num_documents, &reports);
     obs.finish()
 }
 
@@ -837,12 +777,11 @@ fn cmd_snapshot_load(args: &[String]) -> Result<(), String> {
     let state = read_snapshot(path)?;
     let (dtd, _) = state.derive(engine);
     if xsd {
-        let facts = state.facts_corpus();
         print!(
             "{}",
             generate_xsd(
                 &dtd,
-                Some(&facts),
+                Some(&state),
                 XsdOptions {
                     numeric_threshold: None,
                 }

@@ -194,6 +194,41 @@ fn validate_prints_witness_and_exit_codes() {
 }
 
 #[test]
+fn validate_rejects_content_models_nested_past_the_bound() {
+    let dir = tempdir();
+    let doc = dir.join("deep.xml");
+    std::fs::write(&doc, "<r><a/></r>").unwrap();
+    let validate = |depth: usize| {
+        let schema = dir.join(format!("deep-{depth}.dtd"));
+        std::fs::write(
+            &schema,
+            format!(
+                "<!ELEMENT r {}a{}>\n<!ELEMENT a EMPTY>\n",
+                "(".repeat(depth),
+                ")".repeat(depth)
+            ),
+        )
+        .unwrap();
+        bin()
+            .args(["validate", "--dtd", schema.to_str().unwrap()])
+            .arg(&doc)
+            .output()
+            .expect("run dtdinfer")
+    };
+    let bound = dtdinfer_regex::parser::MAX_NESTING;
+    let at_bound = validate(bound);
+    let stdout = String::from_utf8_lossy(&at_bound.stdout);
+    assert!(at_bound.status.success(), "{stdout}");
+    assert!(stdout.contains("all 1 document(s) valid"), "{stdout}");
+    // Far past the bound: a parse error naming the offending byte, not a
+    // stack overflow (which aborts with status 134).
+    let past = validate(200_000);
+    let stderr = String::from_utf8_lossy(&past.stderr);
+    assert_eq!(past.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("at byte {bound}")), "{stderr}");
+}
+
+#[test]
 fn validate_format_json_emits_structured_witnesses() {
     let dir = tempdir();
     let schema = dir.join("fmt.dtd");

@@ -142,3 +142,46 @@ fn kore_corpus_matches_golden_across_jobs_and_permutations() {
         );
     }
 }
+
+/// `testdata/snapshots/books.v4.snap` was written by a v4 build (the last
+/// format with learner rows) from `testdata/books/*.xml`. Loading it must
+/// derive the goldens for every engine, and re-saving it must write what
+/// a fresh save of the same documents writes.
+#[test]
+fn committed_v4_snapshot_loads_to_the_goldens() {
+    use dtdinfer_engine::pool::ingest_source;
+    use dtdinfer_engine::snapshot;
+    use dtdinfer_engine::source::PathSource;
+    use dtdinfer_engine::EngineState;
+
+    let path = repo_path("testdata/snapshots/books.v4.snap");
+    let v4 = std::fs::read_to_string(&path).expect("committed v4 snapshot");
+    assert!(v4.starts_with("#dtdinfer-engine v4\n"));
+    assert!(v4.contains("\nk "), "the fixture carries learner rows");
+    let load = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_dtdinfer"))
+            .args([&["snapshot", "load"][..], extra, &[path.to_str().unwrap()]].concat())
+            .output()
+            .expect("spawn dtdinfer");
+        assert!(
+            out.status.success(),
+            "snapshot load {extra:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    for engine in ["idtd", "crx", "kore", "auto"] {
+        let expected = golden(&format!("books.{engine}.dtd"));
+        assert_eq!(load(&["--engine", engine]), expected, "{engine}");
+    }
+    assert_eq!(load(&["--xsd"]), golden("books.idtd.xsd"), "xsd");
+
+    let loaded = snapshot::load(&v4).expect("v4 loads");
+    let paths = testdata().into_iter().map(PathBuf::from).collect();
+    let fresh = ingest_source(EngineState::new(), &PathSource::new(paths), 1)
+        .expect("books parse")
+        .state;
+    let resaved = snapshot::save(&loaded);
+    assert!(resaved.starts_with(snapshot::HEADER));
+    assert_eq!(resaved, snapshot::save(&fresh));
+}

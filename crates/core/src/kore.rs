@@ -11,12 +11,12 @@
 //! §5/§6 machinery, then erase the marks. The result is a k-ORE: an
 //! expression in which each alphabet symbol occurs at most `k` times.
 //!
-//! Two facts make the incremental/sharded integration exact:
+//! Two facts make the incremental integration exact:
 //!
 //! * **Marking commutes with 2T-INF.** The marked SOA is a pure function of
 //!   the word multiset (in fact of the word *set*), so absorbing words one
-//!   at a time, merging shard states, or rebuilding from a persisted
-//!   [`WordBag`] all land on the same automaton.
+//!   at a time or learning from an element's counted [`WordBag`] land on
+//!   the same automaton.
 //! * **Capping commutes with 2T-INF.** Folding marks down from [`MAX_K`] to
 //!   any smaller `k` (occurrence `min(m, k)`) is an alphabet homomorphism,
 //!   and 2T-INF commutes with alphabet homomorphisms, so the folded SOA
@@ -52,8 +52,7 @@ pub const MAX_K: usize = 4;
 
 /// Encodes `(symbol, occurrence)` as a marked symbol. `occ` is 1-based and
 /// must be in `1..=MAX_K`. The encoding is injective and order-preserving
-/// (marked symbols sort by `(symbol, occurrence)`), so canonical-alphabet
-/// remaps lift to injective remaps of the marked alphabet.
+/// (marked symbols sort by `(symbol, occurrence)`).
 fn mark(s: Sym, occ: usize) -> Sym {
     debug_assert!((1..=MAX_K).contains(&occ));
     Sym(s.0 * MAX_K as u32 + (occ as u32 - 1))
@@ -95,11 +94,9 @@ fn unmark_regex(r: &Regex) -> Regex {
 /// [`MAX_K`]-marked alphabet plus a word count.
 ///
 /// Every component is a set union or a sum, so the state is invariant under
-/// permutation of the absorbed words and two states [`merge`](Self::merge)
-/// commutatively — the property the sharded ingestion engine relies on.
-/// The state is also a pure function of the absorbed word multiset, so a
-/// state rebuilt from a persisted [`WordBag`] is byte-identical to one that
-/// was grown incrementally.
+/// permutation of the absorbed words: it is a pure function of the
+/// absorbed word multiset, and a state learned from a [`WordBag`] is
+/// byte-identical to one that was grown incrementally.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KoreState {
     /// 2T-INF automaton over marked symbols.
@@ -156,33 +153,6 @@ impl KoreState {
     /// Number of words absorbed so far.
     pub fn num_words(&self) -> u64 {
         self.num_words
-    }
-
-    /// Whether no word at all has been absorbed.
-    pub fn is_empty(&self) -> bool {
-        self.num_words == 0
-    }
-
-    /// Merges another state in: the result equals absorbing both word
-    /// multisets into one state, in any order.
-    pub fn merge(&mut self, other: &KoreState) {
-        self.marked.merge(&other.marked);
-        self.num_words += other.num_words;
-        dtdinfer_obs::count("core.kore.merges", 1);
-    }
-
-    /// Rebuilds the state under a symbol translation (alphabet
-    /// canonicalization / shard reconciliation). `f` must be injective on
-    /// the state's symbols; the lift to marked symbols is then injective
-    /// too.
-    pub fn remap(&self, mut f: impl FnMut(Sym) -> Sym) -> KoreState {
-        KoreState {
-            marked: self.marked.remap(|m| {
-                let (s, occ) = unmark_sym(m);
-                mark(f(s), occ)
-            }),
-            num_words: self.num_words,
-        }
     }
 
     /// The largest occurrence index present in the marked automaton — the
@@ -262,9 +232,8 @@ impl KoreState {
         unreachable!("k = 1 fold is a SORE derivation and always accepted")
     }
 
-    /// Serializes the state to a line-oriented text format (the counterpart
-    /// of `SupportSoa::to_text` for snapshot persistence and
-    /// `dtdinfer learn --state`).
+    /// Serializes the state to a line-oriented text format (the
+    /// `dtdinfer learn --state` file).
     ///
     /// Records: `words N`, `empty`, `initial NAME OCC`, `final NAME OCC`,
     /// `edge NAME OCC NAME OCC`. States are implied (a marked state always
@@ -574,34 +543,6 @@ mod tests {
                 "k-ORE must be deterministic"
             );
         }
-    }
-
-    #[test]
-    fn merge_equals_batch_and_commutes() {
-        let mut al = Alphabet::new();
-        let all = bag(&mut al, &["aba", "ab", "cc", "abc", "aba"]);
-        let left = bag(&mut al, &["aba", "ab"]);
-        let right = bag(&mut al, &["cc", "abc", "aba"]);
-        let whole = KoreState::learn_counted(&all);
-        let mut ab = KoreState::learn_counted(&left);
-        ab.merge(&KoreState::learn_counted(&right));
-        let mut ba = KoreState::learn_counted(&right);
-        ba.merge(&KoreState::learn_counted(&left));
-        assert_eq!(whole, ab);
-        assert_eq!(ab, ba);
-    }
-
-    #[test]
-    fn remap_lifts_injectively() {
-        let mut al = Alphabet::new();
-        let state = KoreState::learn_counted(&bag(&mut al, &["aba", "bb"]));
-        // Swap a ↔ b, twice: identity.
-        let swap = |s: Sym| Sym(1 - s.0);
-        assert_eq!(state.remap(swap).remap(swap), state);
-        // Remapping then deriving equals deriving then renaming: spot-check
-        // word membership through the swap.
-        let out = state.remap(swap).derive();
-        assert!(out.model.matches(&al.word_from_chars("bab")));
     }
 
     #[test]

@@ -131,155 +131,6 @@ impl SupportSoa {
         self.sym_support.get(&s).copied().unwrap_or(0)
     }
 
-    /// All symbol supports in symbol order (total occurrences per element
-    /// name across the absorbed words).
-    pub fn symbol_supports(&self) -> std::collections::BTreeMap<Sym, u64> {
-        self.sym_support.iter().map(|(&s, &c)| (s, c)).collect()
-    }
-
-    /// Merges another support-annotated automaton in: SOA union plus
-    /// pointwise addition of every support counter. Equal to absorbing both
-    /// word multisets into one state, in any order.
-    pub fn merge(&mut self, other: &SupportSoa) {
-        self.soa.merge(other.soa());
-        for (&edge, &count) in &other.edge_support {
-            *self.edge_support.entry(edge).or_insert(0) += count;
-        }
-        for (&s, &count) in &other.sym_support {
-            *self.sym_support.entry(s).or_insert(0) += count;
-        }
-        self.num_words += other.num_words;
-    }
-
-    /// Rebuilds the state under a symbol translation (for merging states
-    /// built over different alphabets). `f` must be injective.
-    pub fn remap(&self, mut f: impl FnMut(Sym) -> Sym) -> SupportSoa {
-        SupportSoa {
-            soa: self.soa.remap(&mut f),
-            edge_support: self
-                .edge_support
-                .iter()
-                .map(|(&edge, &count)| {
-                    let edge = match edge {
-                        EdgeKind::Initial(s) => EdgeKind::Initial(f(s)),
-                        EdgeKind::Pair(a, b) => EdgeKind::Pair(f(a), f(b)),
-                        EdgeKind::Final(s) => EdgeKind::Final(f(s)),
-                        EdgeKind::Epsilon => EdgeKind::Epsilon,
-                    };
-                    (edge, count)
-                })
-                .collect(),
-            sym_support: self.sym_support.iter().map(|(&s, &c)| (f(s), c)).collect(),
-            num_words: self.num_words,
-        }
-    }
-
-    /// Serializes the state to a line-oriented text format (the iDTD-side
-    /// counterpart of `CrxState::to_text` for engine snapshots).
-    ///
-    /// Records: `words N`, `sym NAME COUNT`, `initial NAME COUNT`,
-    /// `final NAME COUNT`, `pair NAME NAME COUNT`, `empty COUNT`. The
-    /// support records fully determine the embedded SOA.
-    pub fn to_text(&self, alphabet: &dtdinfer_regex::alphabet::Alphabet) -> String {
-        let mut out = String::from("#dtdinfer-support-soa v1\n");
-        out.push_str(&format!("words {}\n", self.num_words));
-        for (s, count) in self.symbol_supports() {
-            out.push_str(&format!("sym {} {count}\n", alphabet.name(s)));
-        }
-        // Edge records in a stable order: initial, final, pair, epsilon.
-        let mut edges: Vec<(EdgeKind, u64)> =
-            self.edge_support.iter().map(|(&e, &c)| (e, c)).collect();
-        edges.sort_unstable();
-        for (edge, count) in edges {
-            match edge {
-                EdgeKind::Initial(s) => {
-                    out.push_str(&format!("initial {} {count}\n", alphabet.name(s)));
-                }
-                EdgeKind::Final(s) => {
-                    out.push_str(&format!("final {} {count}\n", alphabet.name(s)));
-                }
-                EdgeKind::Pair(a, b) => {
-                    out.push_str(&format!(
-                        "pair {} {} {count}\n",
-                        alphabet.name(a),
-                        alphabet.name(b)
-                    ));
-                }
-                EdgeKind::Epsilon => out.push_str(&format!("empty {count}\n")),
-            }
-        }
-        out
-    }
-
-    /// Parses the [`SupportSoa::to_text`] format, interning names into
-    /// `alphabet`.
-    pub fn from_text(
-        text: &str,
-        alphabet: &mut dtdinfer_regex::alphabet::Alphabet,
-    ) -> Result<Self, String> {
-        let mut state = SupportSoa::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let err = |m: &str| format!("line {}: {m}", lineno + 1);
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let kind = parts.next().expect("non-empty line");
-            let mut name = |parts: &mut std::str::SplitWhitespace<'_>| {
-                parts
-                    .next()
-                    .map(|n| alphabet.intern(n))
-                    .ok_or_else(|| err("missing name"))
-            };
-            let count = |parts: &mut std::str::SplitWhitespace<'_>| {
-                parts
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .ok_or_else(|| err("bad count"))
-            };
-            match kind {
-                "words" => state.num_words = count(&mut parts)?,
-                "sym" => {
-                    let s = name(&mut parts)?;
-                    let c = count(&mut parts)?;
-                    state.sym_support.insert(s, c);
-                    state.soa.states.insert(s);
-                }
-                "initial" => {
-                    let s = name(&mut parts)?;
-                    let c = count(&mut parts)?;
-                    state.edge_support.insert(EdgeKind::Initial(s), c);
-                    state.soa.initial.insert(s);
-                    state.soa.states.insert(s);
-                }
-                "final" => {
-                    let s = name(&mut parts)?;
-                    let c = count(&mut parts)?;
-                    state.edge_support.insert(EdgeKind::Final(s), c);
-                    state.soa.finals.insert(s);
-                    state.soa.states.insert(s);
-                }
-                "pair" => {
-                    let a = name(&mut parts)?;
-                    let b = name(&mut parts)?;
-                    let c = count(&mut parts)?;
-                    state.edge_support.insert(EdgeKind::Pair(a, b), c);
-                    state.soa.edges.insert((a, b));
-                    state.soa.states.insert(a);
-                    state.soa.states.insert(b);
-                }
-                "empty" => {
-                    let c = count(&mut parts)?;
-                    state.edge_support.insert(EdgeKind::Epsilon, c);
-                    state.soa.accepts_empty = true;
-                }
-                other => return Err(err(&format!("unknown record {other:?}"))),
-            }
-        }
-        Ok(state)
-    }
-
     /// The simple countermeasure: an SOA with every symbol of support
     /// < `threshold` dropped (with its incident edges) and every surviving
     /// edge of support < `threshold` dropped.
@@ -507,71 +358,5 @@ mod tests {
     fn degenerate_empty() {
         let s = SupportSoa::new();
         assert_eq!(s.infer_noise_aware(3), InferredModel::Empty);
-    }
-
-    #[test]
-    fn merge_equals_learning_the_union() {
-        let mut al = Alphabet::new();
-        let words = noisy_corpus(&mut al);
-        let whole = SupportSoa::learn(&words);
-        for cut in [0, 1, words.len() / 2, words.len() - 1, words.len()] {
-            let mut merged = SupportSoa::learn(&words[..cut]);
-            merged.merge(&SupportSoa::learn(&words[cut..]));
-            assert_eq!(merged.soa(), whole.soa(), "cut {cut}");
-            assert_eq!(merged.num_words(), whole.num_words(), "cut {cut}");
-            assert_eq!(merged.to_text(&al), whole.to_text(&al), "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn text_round_trip_preserves_supports() {
-        let mut al = Alphabet::new();
-        let s = SupportSoa::learn(&noisy_corpus(&mut al));
-        let text = s.to_text(&al);
-        // Restore into a fresh alphabet: supports and the SOA must survive,
-        // and re-serializing against the same alphabet is the identity.
-        let mut al2 = Alphabet::new();
-        let restored = SupportSoa::from_text(&text, &mut al2).unwrap();
-        assert_eq!(restored.to_text(&al2), text);
-        let (a, z) = (al2.get("a").unwrap(), al2.get("z").unwrap());
-        assert_eq!(
-            restored.symbol_support(a),
-            s.symbol_support(al.get("a").unwrap())
-        );
-        assert_eq!(
-            restored.symbol_support(z),
-            s.symbol_support(al.get("z").unwrap())
-        );
-        assert_eq!(restored.num_words(), s.num_words());
-        assert_eq!(
-            restored.support(EdgeKind::Epsilon),
-            s.support(EdgeKind::Epsilon)
-        );
-    }
-
-    #[test]
-    fn text_rejects_garbage() {
-        let mut al = Alphabet::new();
-        for bad in ["froz a 1", "sym a", "pair a 1", "words x", "empty"] {
-            assert!(
-                SupportSoa::from_text(bad, &mut al).is_err(),
-                "accepted {bad:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn remap_translates_supports() {
-        let mut al = Alphabet::new();
-        let words: Vec<Word> = vec![al.word_from_chars("ab"), al.word_from_chars("b")];
-        let s = SupportSoa::learn(&words);
-        let shifted = s.remap(|Sym(i)| Sym(i + 7));
-        let (a, b) = (al.get("a").unwrap(), al.get("b").unwrap());
-        assert_eq!(shifted.symbol_support(Sym(a.0 + 7)), s.symbol_support(a));
-        assert_eq!(
-            shifted.support(EdgeKind::Pair(Sym(a.0 + 7), Sym(b.0 + 7))),
-            s.support(EdgeKind::Pair(a, b))
-        );
-        assert_eq!(shifted.num_words(), s.num_words());
     }
 }

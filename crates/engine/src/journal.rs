@@ -1,4 +1,4 @@
-//! Append-only ingest journal layered on the v2 snapshot format.
+//! Append-only ingest journal layered on the engine snapshot format.
 //!
 //! A snapshot is a *compacted* past: re-deriving from it is byte-identical
 //! to re-ingesting every document it absorbed. The journal supplies the
@@ -222,7 +222,7 @@ pub struct Recovered {
     pub truncated_tail: bool,
 }
 
-/// Durable storage for one session: a `<name>.snap` v2 snapshot plus a
+/// Durable storage for one session: a `<name>.snap` engine snapshot plus a
 /// `<name>.journal` of documents ingested since. All mutation goes
 /// through the store so the two files never disagree beyond the
 /// documented crash windows.
@@ -612,8 +612,8 @@ mod tests {
             "<r><b/></r>",
             "<r><a/><a/><b/></r>",
         ];
-        // Compact after two documents: the base snapshot is v3 (counted
-        // multiset rows included), then journal two more on top.
+        // Compact after two documents: the base snapshot carries the
+        // counted multiset rows, then journal two more on top.
         let mut state = EngineState::new();
         for doc in &docs[..2] {
             state.absorb_document(doc).unwrap();
@@ -621,7 +621,7 @@ mod tests {
         store.compact(&state).unwrap();
         let snap = std::fs::read_to_string(store.snapshot_path()).unwrap();
         assert!(snap.starts_with(snapshot::HEADER), "{}", &snap[..40]);
-        assert!(snap.contains("\nw "), "v3 base carries multiset rows");
+        assert!(snap.contains("\nw "), "the base carries multiset rows");
         for doc in &docs[2..] {
             store.append(doc, state.num_documents).unwrap();
             state.absorb_document(doc).unwrap();
@@ -633,7 +633,7 @@ mod tests {
             one_shot.absorb_document(doc).unwrap();
         }
         // Snapshot equality covers the multisets too: replayed documents
-        // extended the bags the v3 base carried.
+        // extended the bags the base carried.
         assert_eq!(snapshot::save(&recovered.state), snapshot::save(&one_shot));
         store.remove().unwrap();
         std::fs::remove_dir_all(&dir).ok();

@@ -1,548 +1,42 @@
 //! The sharded inference engine: a layer between XML extraction and the
 //! per-element learners that drives §9's incremental machinery at scale.
 //!
-//! The paper observes that both iDTD and CRX keep compact internal state —
-//! the SOA and the CHARE partial-order summary — so the generating XML can
-//! be discarded and schemas maintained as data "trickles in". This crate
-//! exploits a second consequence of that design: the state is a union of
-//! per-word contributions, so it can be built **in parallel**:
+//! The paper observes that a learner's internal representation is its
+//! complete memory, so the generating XML can be discarded and schemas
+//! maintained as data "trickles in". Here that memory is the counted
+//! child-word multiset of each element name: every learner's output is a
+//! pure function of it. The state is therefore [`EngineState`], which is
+//! `dtdinfer_xml::extract::Corpus` under its engine name, and a union of
+//! per-document contributions, so it can be built **in parallel**:
 //!
 //! 1. **Shard** — a std-only worker pool ([`pool::ingest`]) pulls documents
-//!    off a shared queue; each worker folds child-word multisets into a
-//!    shard-local [`EngineState`].
-//! 2. **Merge** — shard states are combined with [`EngineState::merge`]
-//!    (alphabets reconciled by name, automata unioned via `Soa::merge`,
-//!    CRX summaries and support counters added pointwise). Every merge is
-//!    commutative, so the result is independent of how documents were
-//!    distributed over shards.
+//!    off a shared queue; each worker extracts them into a shard-local
+//!    [`EngineState`], whose extraction scratch is reused across documents.
+//! 2. **Merge** — shard states are combined with [`EngineState::merge`]:
+//!    alphabets reconciled by name, multisets and samples unioned, counts
+//!    added. Every merge is commutative, so the result is independent of
+//!    how documents were distributed over shards.
 //! 3. **Derive** — [`EngineState::derive`] canonicalizes the alphabet
 //!    (name-sorted, making the output independent of document arrival
-//!    order) and runs the same per-element derivation as
-//!    `dtdinfer_xml::infer::infer_dtd_with_stats`, byte-for-byte.
+//!    order) and runs each learner once per distinct word; it is
+//!    `dtdinfer_xml::infer::infer_dtd_with_stats`.
 //!
 //! [`snapshot`] persists an [`EngineState`] as a versioned text file so a
-//! later run can warm-start and absorb only new documents.
+//! later run can warm-start and absorb only new documents; [`journal`]
+//! makes that durable per document for the serve daemon, and [`source`]
+//! lets workers load documents themselves.
 
 pub mod journal;
 pub mod pool;
 pub mod snapshot;
 pub mod source;
 
-use dtdinfer_core::crx::CrxState;
-use dtdinfer_core::idtd::{idtd_traced, Event, IdtdConfig};
-use dtdinfer_core::kore::{pick_auto, KoreState};
-use dtdinfer_core::model::InferredModel;
-use dtdinfer_core::noise::SupportSoa;
-use dtdinfer_regex::alphabet::{Alphabet, Sym, Word};
-use dtdinfer_regex::multiset::WordBag;
-use dtdinfer_xml::attlist::{infer_attdef_from_bag, AttInferenceOptions};
-use dtdinfer_xml::dtd::{ContentSpec, Dtd};
-use dtdinfer_xml::extract::{Corpus, ElementFacts};
-use dtdinfer_xml::infer::{spec_size, ElementReport, InferenceEngine};
-use dtdinfer_xml::parser::{XmlError, XmlEvent, XmlPullParser};
-use dtdinfer_xml::samples::SampleBag;
-use std::collections::BTreeMap;
-use std::time::Instant;
-
-/// Compact learner state for one element name: everything any of the three
-/// engines needs at derive time, none of the raw corpus.
-#[derive(Debug, Clone, Default)]
-pub struct ElementState {
-    /// Support-annotated SOA: serves iDTD (the plain automaton), the §9
-    /// noise treatment (edge supports), and mixed-content thresholds
-    /// (symbol supports). Its word count is the element's sample size.
-    pub support: SupportSoa,
-    /// CRX partial-order summary (§7), for the CHARE engine.
-    pub crx: CrxState,
-    /// k-occurrence automaton over the marked alphabet, for the k-ORE
-    /// engine and the MDL chooser. Snapshot v4 persists it; v3 snapshots
-    /// rebuild it exactly from the retained word multiset, v2 snapshots
-    /// load with an empty state (the k-ORE engine then sees no words).
-    pub kore: KoreState,
-    /// Counted multiset of the element's child-name sequences — O(distinct
-    /// shapes), not O(occurrences). Snapshot v3 persists it; v2 snapshots
-    /// load with an empty bag (the learners above stay authoritative for
-    /// derivation, so the degradation only disables the numeric facts
-    /// view, never changes DTD output).
-    pub words: WordBag,
-    /// Non-whitespace text chunks (bounded reservoir; exact total and
-    /// datatype mask), for PCDATA detection and XSD datatypes.
-    pub text_samples: SampleBag,
-    /// Attribute name → sampled values (bounded reservoir per attribute).
-    pub attributes: BTreeMap<String, SampleBag>,
-    /// Total occurrences across the corpus.
-    pub occurrences: u64,
-}
-
-impl ElementState {
-    /// Folds `n` occurrences of one child-name sequence into both learner
-    /// summaries. Count-aware absorption is exactly equivalent to `n`
-    /// single absorptions (the SOA/CRX structure union is idempotent per
-    /// word; only supports scale), so repeated shapes cost one pass.
-    fn absorb_counted(&mut self, w: &Word, n: u32) {
-        self.support.absorb_counted(w, n);
-        self.crx.absorb_counted(w, n);
-        self.kore.absorb_counted(w, n);
-    }
-
-    /// Merges another shard's state for the same element name.
-    fn merge(&mut self, other: &ElementState, mut f: impl FnMut(Sym) -> Sym) {
-        self.support.merge(&other.support.remap(&mut f));
-        self.crx.merge(&other.crx.remap(&mut f));
-        self.kore.merge(&other.kore.remap(&mut f));
-        self.words.merge(&other.words.map_symbols(&mut f));
-        self.text_samples.merge(&other.text_samples);
-        for (attr, values) in &other.attributes {
-            self.attributes
-                .entry(attr.clone())
-                .or_default()
-                .merge(values);
-        }
-        self.occurrences += other.occurrences;
-    }
-}
-
-/// Reusable per-worker parse scratch: the element stack, the per-document
-/// staging multisets, and a pool of recycled child [`Word`]s. One arena
-/// per shard keeps the steady-state ingestion loop allocation-free for
-/// repeated document shapes — new allocations happen only on first sight
-/// of a distinct child sequence.
-#[derive(Debug, Default)]
-pub struct ParseArena {
-    /// Open-element stack: (element symbol, children seen so far).
-    stack: Vec<(Sym, Word)>,
-    /// Per-document staging: child-sequence multisets by element symbol
-    /// (linear scan — documents touch few distinct names). Flushed into
-    /// the engine state once per document.
-    staged: Vec<(Sym, WordBag)>,
-    /// Recycled `Word` buffers, refilled as staged words are flushed.
-    spare: Vec<Word>,
-}
-
-impl ParseArena {
-    /// A fresh arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns every in-progress buffer to the spare pool (used after a
-    /// parse error aborts a document mid-way, so the arena is clean for
-    /// the next one).
-    fn recycle(&mut self) {
-        while let Some((_, mut w)) = self.stack.pop() {
-            w.clear();
-            self.spare.push(w);
-        }
-        for (_, bag) in self.staged.drain(..) {
-            for (mut w, _) in bag.into_entries() {
-                w.clear();
-                self.spare.push(w);
-            }
-        }
-    }
-}
-
-/// The engine's whole-corpus state: one [`ElementState`] per element name
-/// plus root statistics. Unlike `Corpus`, memory is bounded by the schema
-/// (quadratic in the number of element names), not by the corpus.
-#[derive(Debug, Clone, Default)]
-pub struct EngineState {
-    /// Interned element names (shard-local interning order; derivation
-    /// canonicalizes).
-    pub alphabet: Alphabet,
-    /// Learner state per element name.
-    pub elements: BTreeMap<Sym, ElementState>,
-    /// Root elements observed, with counts.
-    pub roots: BTreeMap<Sym, u64>,
-    /// Documents absorbed.
-    pub num_documents: u64,
-}
-
-impl EngineState {
-    /// An empty state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// [`EngineState::absorb_document`], attributing any parse error to
-    /// `source` (usually the file path).
-    pub fn absorb_document_from(&mut self, doc: &str, source: &str) -> Result<(), XmlError> {
-        self.absorb_document(doc).map_err(|e| e.with_source(source))
-    }
-
-    /// [`EngineState::absorb_document_with`], attributing any parse error
-    /// to `source` (usually the file path).
-    pub fn absorb_document_from_with(
-        &mut self,
-        doc: &str,
-        source: &str,
-        arena: &mut ParseArena,
-    ) -> Result<(), XmlError> {
-        self.absorb_document_with(doc, arena)
-            .map_err(|e| e.with_source(source))
-    }
-
-    /// Parses one document and folds its statistics in — the engine-side
-    /// twin of `Corpus::add_document`, absorbing each child-name sequence
-    /// into the compact learner state instead of retaining the corpus.
-    pub fn absorb_document(&mut self, doc: &str) -> Result<(), XmlError> {
-        self.absorb_document_with(doc, &mut ParseArena::new())
-    }
-
-    /// [`EngineState::absorb_document`] with caller-owned scratch: a
-    /// worker that ingests many documents reuses one [`ParseArena`], so
-    /// the per-document element stack and child words come from recycled
-    /// buffers. Child sequences are staged per document into counted
-    /// multisets and flushed once per distinct shape via count-aware
-    /// absorption — byte-identical to absorbing each occurrence alone.
-    pub fn absorb_document_with(
-        &mut self,
-        doc: &str,
-        arena: &mut ParseArena,
-    ) -> Result<(), XmlError> {
-        let mut parser = XmlPullParser::new(doc);
-        let mut seen_root = false;
-        loop {
-            let event = match parser.next() {
-                Ok(Some(event)) => event,
-                Ok(None) => break,
-                Err(e) => {
-                    dtdinfer_obs::count("engine.parse_errors", 1);
-                    arena.recycle();
-                    return Err(e);
-                }
-            };
-            match event {
-                XmlEvent::StartElement {
-                    name, attributes, ..
-                } => {
-                    let sym = self.alphabet.intern(name);
-                    let state = self.elements.entry(sym).or_default();
-                    state.occurrences += 1;
-                    for (attr, value) in &attributes {
-                        // Allocate the attribute name only on first sight.
-                        if let Some(bag) = state.attributes.get_mut(*attr) {
-                            bag.insert(value);
-                        } else {
-                            state
-                                .attributes
-                                .entry((*attr).to_owned())
-                                .or_default()
-                                .insert(value);
-                        }
-                    }
-                    if let Some((_, children)) = arena.stack.last_mut() {
-                        children.push(sym);
-                    } else if !seen_root {
-                        seen_root = true;
-                        *self.roots.entry(sym).or_insert(0) += 1;
-                    }
-                    let children = arena.spare.pop().unwrap_or_default();
-                    arena.stack.push((sym, children));
-                }
-                XmlEvent::EndElement { .. } => {
-                    let (sym, mut children) = arena.stack.pop().expect("parser checks balance");
-                    match arena.staged.iter_mut().find(|(s, _)| *s == sym) {
-                        Some((_, bag)) => bag.insert_ref(&children),
-                        None => {
-                            let mut bag = WordBag::new();
-                            bag.insert_ref(&children);
-                            arena.staged.push((sym, bag));
-                        }
-                    }
-                    children.clear();
-                    arena.spare.push(children);
-                }
-                XmlEvent::Text(text) => {
-                    let trimmed = text.trim();
-                    if !trimmed.is_empty() {
-                        if let Some(&mut (sym, _)) = arena.stack.last_mut() {
-                            self.elements
-                                .entry(sym)
-                                .or_default()
-                                .text_samples
-                                .insert(trimmed);
-                        }
-                    }
-                }
-                XmlEvent::Comment(_)
-                | XmlEvent::ProcessingInstruction(_)
-                | XmlEvent::Doctype(_) => {}
-            }
-        }
-        // Flush: each distinct shape is absorbed once with its in-document
-        // count, and the staged words are recycled for the next document.
-        for (sym, bag) in arena.staged.drain(..) {
-            let state = self.elements.entry(sym).or_default();
-            for (w, n) in bag.iter() {
-                state.absorb_counted(w, n);
-            }
-            state.words.merge(&bag);
-            for (mut w, _) in bag.into_entries() {
-                w.clear();
-                arena.spare.push(w);
-            }
-        }
-        self.num_documents += 1;
-        dtdinfer_obs::count("engine.documents", 1);
-        Ok(())
-    }
-
-    /// Merges another state in, reconciling the two alphabets by element
-    /// name. Commutative up to alphabet interning order, which
-    /// [`EngineState::derive`] canonicalizes away — so the merged result's
-    /// derived DTD does not depend on shard assignment or merge order.
-    pub fn merge(&mut self, other: &EngineState) {
-        let map: Vec<Sym> = other
-            .alphabet
-            .entries()
-            .map(|(_, name)| self.alphabet.intern(name))
-            .collect();
-        let f = |s: Sym| map[s.index()];
-        for (&sym, state) in &other.elements {
-            self.elements.entry(f(sym)).or_default().merge(state, f);
-        }
-        for (&root, &count) in &other.roots {
-            *self.roots.entry(f(root)).or_insert(0) += count;
-        }
-        self.num_documents += other.num_documents;
-        dtdinfer_obs::count("engine.merges", 1);
-    }
-
-    /// Total absorbed child-name sequences across all elements.
-    pub fn total_words(&self) -> u64 {
-        self.elements.values().map(|s| s.support.num_words()).sum()
-    }
-
-    /// The dominant root element; ties go to the smallest name (same rule
-    /// as `Corpus::root`).
-    pub fn root(&self) -> Option<Sym> {
-        self.roots
-            .iter()
-            .max_by(|a, b| {
-                a.1.cmp(b.1)
-                    .then_with(|| self.alphabet.name(*b.0).cmp(self.alphabet.name(*a.0)))
-            })
-            .map(|(&sym, _)| sym)
-    }
-
-    /// A copy re-interned over a name-sorted alphabet (the engine twin of
-    /// `Corpus::canonicalized`).
-    pub fn canonicalized(&self) -> EngineState {
-        let mut names: Vec<&str> = self.alphabet.entries().map(|(_, n)| n).collect();
-        if names.windows(2).all(|w| w[0] < w[1]) {
-            return self.clone();
-        }
-        names.sort_unstable();
-        let alphabet = Alphabet::from_names(names);
-        let map = |s: Sym| alphabet.get(self.alphabet.name(s)).expect("same name set");
-        let elements = self
-            .elements
-            .iter()
-            .map(|(&sym, state)| {
-                let mut remapped = ElementState {
-                    support: state.support.remap(map),
-                    crx: state.crx.remap(map),
-                    kore: state.kore.remap(map),
-                    words: state.words.map_symbols(map),
-                    ..ElementState::default()
-                };
-                remapped.text_samples = state.text_samples.clone();
-                remapped.attributes = state.attributes.clone();
-                remapped.occurrences = state.occurrences;
-                (map(sym), remapped)
-            })
-            .collect();
-        let roots = self.roots.iter().map(|(&s, &c)| (map(s), c)).collect();
-        EngineState {
-            alphabet,
-            elements,
-            roots,
-            num_documents: self.num_documents,
-        }
-    }
-
-    /// Derives the DTD and per-element reports from the accumulated state.
-    /// Guaranteed (and test-enforced) to serialize byte-identically to
-    /// `infer_dtd_with_stats` over a corpus of the same documents, for
-    /// every engine.
-    pub fn derive(&self, engine: InferenceEngine) -> (Dtd, Vec<ElementReport>) {
-        let _span = dtdinfer_obs::span("engine.derive");
-        let state = self.canonicalized();
-        let mut dtd = Dtd {
-            alphabet: state.alphabet.clone(),
-            root: state.root(),
-            elements: Default::default(),
-            attlists: Default::default(),
-        };
-        let mut reports = Vec::with_capacity(state.elements.len());
-        for (&sym, element) in &state.elements {
-            let (spec, report) = derive_element(&state.alphabet, sym, element, engine);
-            if dtdinfer_obs::is_enabled() {
-                dtdinfer_obs::count_labeled("xml.engine", report.engine, 1);
-                dtdinfer_obs::observe("xml.element.expr_size", report.expr_size as u64);
-            }
-            dtd.elements.insert(sym, spec);
-            reports.push(report);
-            let defs: Vec<_> = element
-                .attributes
-                .iter()
-                .map(|(attr, values)| {
-                    infer_attdef_from_bag(
-                        attr,
-                        values,
-                        element.occurrences,
-                        AttInferenceOptions::default(),
-                    )
-                })
-                .collect();
-            if !defs.is_empty() {
-                dtd.attlists.insert(sym, defs);
-            }
-        }
-        (dtd, reports)
-    }
-
-    /// A corpus view of the retained per-element facts (child-sequence
-    /// multisets, text samples, attributes, occurrences) for XSD datatype
-    /// inference. Since the engine retains counted child sequences, the
-    /// view can drive numeric tightening too — except over states warmed
-    /// from a v2 snapshot, whose bags are empty.
-    pub fn facts_corpus(&self) -> Corpus {
-        let mut corpus = Corpus::new();
-        corpus.alphabet = self.alphabet.clone();
-        corpus.roots = self.roots.clone();
-        corpus.num_documents = self.num_documents;
-        for (&sym, state) in &self.elements {
-            corpus.elements.insert(
-                sym,
-                ElementFacts {
-                    child_sequences: state.words.clone(),
-                    text_samples: state.text_samples.clone(),
-                    attributes: state.attributes.clone(),
-                    occurrences: state.occurrences,
-                },
-            );
-        }
-        corpus
-    }
-}
-
-/// The per-element derivation, mirroring `infer_element` in
-/// `dtdinfer_xml::infer` over the compact state.
-fn derive_element(
-    alphabet: &Alphabet,
-    sym: Sym,
-    element: &ElementState,
-    engine: InferenceEngine,
-) -> (ContentSpec, ElementReport) {
-    let started = Instant::now();
-    let mut engine_used = match engine {
-        InferenceEngine::Crx => "crx",
-        InferenceEngine::Idtd => "idtd",
-        InferenceEngine::IdtdNoise { .. } => "idtd-noise",
-        InferenceEngine::Kore => "kore",
-        InferenceEngine::Auto => "auto",
-    };
-    let (mut rewrite_steps, mut repairs, mut fallbacks) = (0usize, 0usize, 0usize);
-    let has_text = !element.text_samples.is_empty();
-    // A non-empty child word puts its symbols into the SOA's state set.
-    let has_children = !element.support.soa().states.is_empty();
-    let spec = match (has_text, has_children) {
-        (false, false) => {
-            engine_used = "empty";
-            ContentSpec::Empty
-        }
-        (true, false) => {
-            engine_used = "pcdata";
-            ContentSpec::PcData
-        }
-        (true, true) => {
-            // Mixed content with the §9 support threshold; the engine's
-            // symbol supports are exactly the per-child occurrence counts
-            // the corpus path computes.
-            let threshold = match engine {
-                InferenceEngine::IdtdNoise { threshold } => threshold,
-                _ => 0,
-            };
-            let syms: Vec<Sym> = element
-                .support
-                .symbol_supports()
-                .into_iter()
-                .filter(|&(_, count)| count >= threshold.max(1))
-                .map(|(s, _)| s)
-                .collect();
-            engine_used = "mixed";
-            ContentSpec::Mixed(syms)
-        }
-        (false, true) => {
-            let model = match engine {
-                InferenceEngine::Crx => element.crx.infer(),
-                InferenceEngine::Idtd => {
-                    let (model, trace) = idtd_traced(element.support.soa(), IdtdConfig::default());
-                    for e in &trace {
-                        match e {
-                            Event::Rewrite(_) => rewrite_steps += 1,
-                            Event::Repair { .. } => repairs += 1,
-                            Event::Fallback => fallbacks += 1,
-                        }
-                    }
-                    model
-                }
-                InferenceEngine::IdtdNoise { threshold } => {
-                    element.support.infer_denoised(threshold)
-                }
-                InferenceEngine::Kore => {
-                    let outcome = element.kore.derive();
-                    for e in &outcome.events {
-                        match e {
-                            Event::Rewrite(_) => rewrite_steps += 1,
-                            Event::Repair { .. } => repairs += 1,
-                            Event::Fallback => fallbacks += 1,
-                        }
-                    }
-                    outcome.model
-                }
-                InferenceEngine::Auto => {
-                    let sore = idtd_traced(element.support.soa(), IdtdConfig::default());
-                    let kore = element.kore.derive();
-                    let chare = element.crx.infer();
-                    let pick = pick_auto(sore, kore, chare, alphabet.len(), &element.words);
-                    engine_used = pick.engine;
-                    for e in &pick.events {
-                        match e {
-                            Event::Rewrite(_) => rewrite_steps += 1,
-                            Event::Repair { .. } => repairs += 1,
-                            Event::Fallback => fallbacks += 1,
-                        }
-                    }
-                    pick.model
-                }
-            };
-            match model {
-                InferredModel::Regex(r) => ContentSpec::Children(r),
-                InferredModel::EpsilonOnly | InferredModel::Empty => ContentSpec::Empty,
-            }
-        }
-    };
-    let report = ElementReport {
-        name: alphabet.name(sym).to_owned(),
-        engine: engine_used,
-        occurrences: element.occurrences,
-        words: usize::try_from(element.support.num_words()).unwrap_or(usize::MAX),
-        rewrite_steps,
-        repairs,
-        fallbacks,
-        expr_size: spec_size(&spec),
-        duration_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-    };
-    (spec, report)
-}
+pub use dtdinfer_xml::extract::{Corpus as EngineState, ElementFacts as ElementState, ParseArena};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtdinfer_xml::infer::infer_dtd_with_stats;
+    use dtdinfer_xml::infer::{infer_dtd_with_stats, InferenceEngine};
 
     fn docs() -> Vec<String> {
         let mut docs = vec![
@@ -569,37 +63,34 @@ mod tests {
         state
     }
 
-    fn corpus(docs: &[String]) -> Corpus {
-        let mut c = Corpus::new();
-        for d in docs {
-            c.add_document(d).unwrap();
-        }
-        c
-    }
-
     #[test]
     fn derive_matches_corpus_inference_for_all_engines() {
+        // The pool's arena-reusing, sharded ingestion must derive what
+        // sequential extraction does, reports included.
         let docs = docs();
-        let state = engine_state(&docs);
-        let corpus = corpus(&docs);
-        for engine in [
-            InferenceEngine::Crx,
-            InferenceEngine::Idtd,
-            InferenceEngine::IdtdNoise { threshold: 3 },
-            InferenceEngine::Kore,
-            InferenceEngine::Auto,
-        ] {
-            let (engine_dtd, engine_reports) = state.derive(engine);
-            let (corpus_dtd, corpus_reports) = infer_dtd_with_stats(&corpus, engine);
-            assert_eq!(engine_dtd.serialize(), corpus_dtd.serialize(), "{engine:?}");
-            assert_eq!(engine_reports.len(), corpus_reports.len());
-            for (e, c) in engine_reports.iter().zip(&corpus_reports) {
-                assert_eq!(e.name, c.name, "{engine:?}");
-                assert_eq!(e.engine, c.engine, "{engine:?} {}", e.name);
-                assert_eq!(e.words, c.words, "{engine:?} {}", e.name);
-                assert_eq!(e.occurrences, c.occurrences, "{engine:?} {}", e.name);
-                assert_eq!(e.repairs, c.repairs, "{engine:?} {}", e.name);
-                assert_eq!(e.expr_size, c.expr_size, "{engine:?} {}", e.name);
+        let corpus = engine_state(&docs);
+        for jobs in [1, 2, 3] {
+            let state = pool::ingest(&docs, jobs).unwrap().state;
+            for engine in [
+                InferenceEngine::Crx,
+                InferenceEngine::Idtd,
+                InferenceEngine::IdtdNoise { threshold: 3 },
+                InferenceEngine::Kore,
+                InferenceEngine::Auto,
+            ] {
+                let (engine_dtd, engine_reports) = state.derive(engine);
+                let (corpus_dtd, corpus_reports) = infer_dtd_with_stats(&corpus, engine);
+                let at = format!("jobs {jobs} {engine:?}");
+                assert_eq!(engine_dtd.serialize(), corpus_dtd.serialize(), "{at}");
+                assert_eq!(engine_reports.len(), corpus_reports.len(), "{at}");
+                for (e, c) in engine_reports.iter().zip(&corpus_reports) {
+                    assert_eq!(e.name, c.name, "{at}");
+                    assert_eq!(e.engine, c.engine, "{at} {}", e.name);
+                    assert_eq!(e.words, c.words, "{at} {}", e.name);
+                    assert_eq!(e.occurrences, c.occurrences, "{at} {}", e.name);
+                    assert_eq!(e.repairs, c.repairs, "{at} {}", e.name);
+                    assert_eq!(e.expr_size, c.expr_size, "{at} {}", e.name);
+                }
             }
         }
     }
@@ -612,7 +103,7 @@ mod tests {
             let mut merged = engine_state(&docs[..cut]);
             merged.merge(&engine_state(&docs[cut..]));
             assert_eq!(merged.num_documents, whole.num_documents);
-            assert_eq!(merged.total_words(), whole.total_words());
+            assert_eq!(merged.total_sequences(), whole.total_sequences());
             for engine in [
                 InferenceEngine::Crx,
                 InferenceEngine::Idtd,
@@ -650,25 +141,21 @@ mod tests {
     fn xsd_from_facts_corpus_matches_corpus_path() {
         use dtdinfer_xml::xsd::{generate_xsd, XsdOptions};
         let docs = docs();
-        let state = engine_state(&docs);
-        let corpus = corpus(&docs);
+        let state = pool::ingest(&docs, 2).unwrap().state;
+        let corpus = engine_state(&docs);
         let engine_dtd = state.derive(InferenceEngine::Idtd).0;
         let corpus_dtd = infer_dtd_with_stats(&corpus, InferenceEngine::Idtd).0;
         assert_eq!(
-            generate_xsd(
-                &engine_dtd,
-                Some(&state.facts_corpus()),
-                XsdOptions::default()
-            ),
+            generate_xsd(&engine_dtd, Some(&state), XsdOptions::default()),
             generate_xsd(&corpus_dtd, Some(&corpus), XsdOptions::default())
         );
-        // The retained multisets make numeric tightening available on the
-        // engine path too — byte-identical to the corpus path.
+        // The merged multisets drive numeric tightening too, byte-identical
+        // to the sequential path.
         let numeric = XsdOptions {
             numeric_threshold: Some(2),
         };
         assert_eq!(
-            generate_xsd(&engine_dtd, Some(&state.facts_corpus()), numeric),
+            generate_xsd(&engine_dtd, Some(&state), numeric),
             generate_xsd(&corpus_dtd, Some(&corpus), numeric)
         );
     }

@@ -3,12 +3,13 @@
 //! Workers (`std::thread::scope` + an atomic work queue, no external
 //! dependencies) claim document indices off a shared counter in adaptive
 //! chunks, load each document themselves from a [`DocSource`] (a reused
-//! per-worker buffer — at most one document resident per worker), fold it
-//! into a shard-local [`EngineState`], and drop it. The shards are then
+//! per-worker buffer — at most one document resident per worker), extract
+//! it into a shard-local [`EngineState`], and drop it. The shards are then
 //! merged in index order. Which document lands on which shard is
-//! scheduling-dependent, but every per-element summary is a commutative
-//! union of per-word contributions and derivation canonicalizes the
-//! alphabet, so the derived DTD is byte-identical for any worker count.
+//! scheduling-dependent, but each element's counted word multiset and
+//! samples are commutative unions of per-document contributions and
+//! derivation canonicalizes the alphabet, so the derived DTD is
+//! byte-identical for any worker count.
 //!
 //! Chunked claiming: one `fetch_add` hands a worker a run of consecutive
 //! indices, sized to the work remaining (`remaining / (jobs * 8)`, clamped
@@ -16,7 +17,7 @@
 //! the tail still balances one document at a time.
 
 use crate::source::{DocSource, MemSource};
-use crate::{EngineState, ParseArena};
+use crate::EngineState;
 use dtdinfer_xml::parser::XmlError;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -213,7 +214,6 @@ pub fn ingest_source<S: DocSource>(
                         let started = Instant::now();
                         let mut local = EngineState::new();
                         let mut buf = String::new();
-                        let mut arena = ParseArena::new();
                         let mut documents = 0u64;
                         let mut bytes = 0u64;
                         let mut busy_ns = 0u64;
@@ -234,9 +234,7 @@ pub fn ingest_source<S: DocSource>(
                             );
                             for i in start..(start + k).min(total) {
                                 let doc_started = Instant::now();
-                                match absorb_one(
-                                    &mut local, source, i, &mut buf, &mut arena, in_flight,
-                                ) {
+                                match absorb_one(&mut local, source, i, &mut buf, in_flight) {
                                     Ok(len) => {
                                         documents += 1;
                                         bytes += len;
@@ -255,7 +253,7 @@ pub fn ingest_source<S: DocSource>(
                         let report = ShardReport {
                             shard,
                             documents,
-                            words: local.total_words(),
+                            words: local.total_sequences() as u64,
                             bytes,
                             duration_ns: elapsed_ns(started),
                             busy_ns,
@@ -283,6 +281,7 @@ pub fn ingest_source<S: DocSource>(
     let mut shards = Vec::with_capacity(workers.len());
     for (local, report, _) in workers {
         state.merge(&local);
+        dtdinfer_obs::count("engine.merges", 1);
         record_shard(&report);
         shards.push(report);
     }
@@ -299,15 +298,14 @@ pub fn ingest_source<S: DocSource>(
     })
 }
 
-/// Loads document `i` and folds it into `local`, reusing the worker's
-/// `buf` and `arena` scratch and tracking residency. Returns the
-/// document's size in bytes.
+/// Loads document `i` and folds it into `local` (whose extraction scratch
+/// is reused from document to document), reusing the worker's `buf` and
+/// tracking residency. Returns the document's size in bytes.
 fn absorb_one<S: DocSource>(
     local: &mut EngineState,
     source: &S,
     i: usize,
     buf: &mut String,
-    arena: &mut ParseArena,
     in_flight: &InFlight,
 ) -> Result<u64, IngestError> {
     let fail = |error: IngestFailure| IngestError {
@@ -320,27 +318,30 @@ fn absorb_one<S: DocSource>(
         .map_err(|m| fail(IngestFailure::Read(m)))?;
     let len = doc.len() as u64;
     in_flight.enter(len);
-    let absorbed = match source.name(i) {
-        Some(name) => local.absorb_document_from_with(doc, &name, arena),
-        None => local.absorb_document_with(doc, arena),
-    };
+    let absorbed = local.add_document(doc);
     in_flight.exit(len);
-    absorbed.map_err(|e| fail(IngestFailure::Parse(e)))?;
+    absorbed.map_err(|e| {
+        let e = match source.name(i) {
+            Some(name) => e.with_source(&name),
+            None => e,
+        };
+        fail(IngestFailure::Parse(e))
+    })?;
+    dtdinfer_obs::count("engine.documents", 1);
     Ok(len)
 }
 
 fn ingest_sequential<S: DocSource>(base: EngineState, source: &S) -> Result<Ingest, IngestError> {
     let started = Instant::now();
     let mut state = base;
-    let words_before = state.total_words();
+    let words_before = state.total_sequences();
     let mut buf = String::new();
-    let mut arena = ParseArena::new();
     let in_flight = InFlight::default();
     let mut busy_ns = 0u64;
     let mut bytes = 0u64;
     for i in 0..source.len() {
         let doc_started = Instant::now();
-        bytes += absorb_one(&mut state, source, i, &mut buf, &mut arena, &in_flight)?;
+        bytes += absorb_one(&mut state, source, i, &mut buf, &in_flight)?;
         busy_ns += elapsed_ns(doc_started);
         // The sequential path has no claim points; heartbeat every 64
         // documents so long single-threaded ingests still feed the
@@ -352,7 +353,7 @@ fn ingest_sequential<S: DocSource>(base: EngineState, source: &S) -> Result<Inge
     let report = ShardReport {
         shard: 0,
         documents: source.len() as u64,
-        words: state.total_words() - words_before,
+        words: (state.total_sequences() - words_before) as u64,
         bytes,
         duration_ns: elapsed_ns(started),
         busy_ns,
@@ -585,57 +586,6 @@ mod tests {
                 jobs as u64 * max_doc
             );
         }
-    }
-
-    // The obs registry and recorder are process-global, so everything that
-    // records through them lives in one test to avoid cross-test races
-    // under the parallel runner.
-    #[test]
-    fn worker_telemetry_lands_in_gauges_and_trace() {
-        let docs = docs(40);
-        dtdinfer_obs::enable(true, true);
-        dtdinfer_obs::reset();
-        let ingested = ingest(&docs, 4).unwrap();
-        let snap = dtdinfer_obs::snapshot();
-        let trace = dtdinfer_obs::take_trace();
-        dtdinfer_obs::disable();
-
-        for s in &ingested.shards {
-            let key = |name: &str| format!("{name}{{worker=\"{}\"}}", s.shard);
-            assert_eq!(snap.gauges[&key("engine_worker_busy_ns")], s.busy_ns);
-            assert_eq!(snap.gauges[&key("engine_worker_documents")], s.documents);
-            assert_eq!(snap.gauges[&key("engine_worker_bytes")], s.bytes);
-            assert_eq!(snap.gauges[&key("engine_worker_claims")], s.claims);
-            assert_eq!(snap.gauges[&key("engine_worker_idle_polls")], s.idle_polls);
-        }
-        // The dot-numbered per-worker names are gone for good.
-        assert!(
-            !snap.gauges.keys().any(|k| k.starts_with("engine.worker.")),
-            "no dot-numbered worker gauges: {:?}",
-            snap.gauges.keys()
-        );
-        assert_eq!(
-            snap.gauges["engine.ingest.peak_bytes_in_flight"],
-            ingested.peak_bytes_in_flight
-        );
-        assert_eq!(
-            snap.gauges["engine.ingest.peak_docs_in_flight"],
-            ingested.peak_docs_in_flight
-        );
-
-        let mut shard_tids: Vec<u64> = trace
-            .iter()
-            .filter_map(|e| match e {
-                dtdinfer_obs::TraceEntry::Span { name, tid, .. } if *name == "engine.shard" => {
-                    Some(*tid)
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(shard_tids.len(), 4, "one span per worker: {trace:?}");
-        shard_tids.sort_unstable();
-        shard_tids.dedup();
-        assert_eq!(shard_tids.len(), 4, "each worker has its own tid");
     }
 
     #[test]

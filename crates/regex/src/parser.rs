@@ -36,12 +36,20 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest parenthesis nesting [`parse`] accepts. The parser, and every
+/// later walk over the tree it returns, recurses once per level, so the
+/// bound keeps hostile input such as `((((…a…))))` from overflowing the
+/// stack. Real content models nest a handful of levels.
+pub const MAX_NESTING: usize = 256;
+
 /// Parses `input` as a regular expression, interning element names into
-/// `alphabet`.
+/// `alphabet`. Fails at the first `(` that would nest deeper than
+/// [`MAX_NESTING`].
 pub fn parse(input: &str, alphabet: &mut Alphabet) -> Result<Regex, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
         alphabet,
     };
     let r = p.union()?;
@@ -55,6 +63,8 @@ pub fn parse(input: &str, alphabet: &mut Alphabet) -> Result<Regex, ParseError> 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Parentheses currently open.
+    depth: usize,
     alphabet: &'a mut Alphabet,
 }
 
@@ -134,6 +144,12 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         match self.peek() {
             Some(b'(') => {
+                if self.depth == MAX_NESTING {
+                    return Err(self.err(&format!(
+                        "parentheses nest deeper than {MAX_NESTING} levels"
+                    )));
+                }
+                self.depth += 1;
                 self.pos += 1;
                 let r = self.union()?;
                 self.skip_ws();
@@ -141,6 +157,7 @@ impl<'a> Parser<'a> {
                     return Err(self.err("expected ')'"));
                 }
                 self.pos += 1;
+                self.depth -= 1;
                 Ok(r)
             }
             Some(c) if is_name_start(c) => {
@@ -222,6 +239,31 @@ mod tests {
         assert!(parse("|a", &mut a).is_err());
         assert!(parse("a | ", &mut a).is_err());
         assert!(parse("8a", &mut a).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}a{}", "(".repeat(depth), ")".repeat(depth));
+        let mut a = Alphabet::new();
+        assert_eq!(round_trip(&nested(MAX_NESTING)), "a");
+        // A tree that really is MAX_NESTING deep: alternating concatenation
+        // and union levels, which the smart constructors cannot flatten.
+        let deep = format!(
+            "{}a{}",
+            "(b, (c | ".repeat(MAX_NESTING / 2),
+            ")".repeat(MAX_NESTING)
+        );
+        let r = parse(&deep, &mut a).expect("at the bound");
+        assert_eq!(r.symbol_count(), MAX_NESTING + 1);
+        // One level more fails at the offending parenthesis.
+        let err = parse(&nested(MAX_NESTING + 1), &mut a).unwrap_err();
+        assert_eq!(err.offset, MAX_NESTING);
+        assert!(err.message.contains("nest deeper"), "{err}");
+        let err = parse(&deep.replacen('a', "(a)", 1), &mut a).unwrap_err();
+        assert_eq!(err.offset, deep.find('a').unwrap());
+        // Far past the bound the parser stops early instead of recursing.
+        let err = parse(&nested(200_000), &mut a).unwrap_err();
+        assert_eq!(err.offset, MAX_NESTING);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! `dtdinfer serve` — a multi-tenant incremental schema-inference daemon.
 //!
 //! The paper's algorithms (iDTD's SOA rewriting, CRX's partial-order
-//! summary) are incremental by construction: learner state is a
-//! commutative union of per-word contributions, so schemas can be
+//! summary) are incremental by construction: they derive from a counted
+//! multiset of child words, a commutative union of per-document
+//! contributions, so schemas can be
 //! maintained as data trickles in rather than re-inferred from scratch.
 //! This crate turns that property into a long-lived service. Clients POST
 //! documents into named **schema sessions** — isolated tenants, each a

@@ -1,8 +1,8 @@
 //! One schema session: a named, journaled, warm incremental engine state.
 //!
 //! A session is the daemon's unit of tenancy. Each wraps an
-//! [`EngineState`] (the paper's compact learner state — SOA, CRX summary,
-//! and reservoirs, no raw corpus) plus a [`Store`] whose snapshot and
+//! [`EngineState`] (the counted child-word multisets every learner derives
+//! from, plus reservoirs; no raw corpus) plus a [`Store`] whose snapshot and
 //! journal make every acknowledged ingest durable: the journal record is
 //! flushed to the OS *before* the document is absorbed, so a `kill -9`
 //! after the HTTP 200 never loses data. Derived DTDs are cached and
@@ -133,11 +133,10 @@ impl Session {
     /// The current schema as an XSD (same rendering as
     /// `dtdinfer infer --xsd --jobs N`).
     pub fn xsd(&mut self) -> String {
-        let facts = self.state.facts_corpus();
         let dtd = self.dtd().clone();
         generate_xsd(
             &dtd,
-            Some(&facts),
+            Some(&self.state),
             XsdOptions {
                 numeric_threshold: None,
             },

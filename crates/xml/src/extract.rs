@@ -1,9 +1,12 @@
-//! Corpus extraction: XML documents → per-element child-name sequences.
+//! Corpus extraction: XML documents → per-element counted child words.
 //!
 //! DTD inference reduces to learning one regular expression per element
-//! name from the multiset of strings occurring below that element (§1.2);
-//! the [`Corpus`] accumulates exactly those words, along with the text and
-//! attribute samples needed for the XSD datatype heuristics of §9.
+//! name from the multiset of strings occurring below that element (§1.2).
+//! A [`Corpus`] accumulates exactly those words, as one counted multiset
+//! per element name, along with the text and attribute samples needed for
+//! the XSD datatype heuristics of §9. Every learner's output is a pure
+//! function of these facts, so a corpus is the whole inference state: the
+//! sharded engine merges corpora, and snapshots persist them.
 
 use crate::parser::{XmlError, XmlEvent, XmlPullParser};
 use crate::samples::SampleBag;
@@ -17,9 +20,9 @@ pub struct ElementFacts {
     /// The child-name sequences observed under the element, as a counted
     /// multiset: one `(word, count)` entry per *distinct* sequence. Real
     /// corpora repeat shapes heavily, so this is far smaller than one
-    /// word per occurrence and lets the learners absorb each distinct
-    /// word once with its multiplicity.
-    pub child_sequences: WordBag,
+    /// word per occurrence, and each learner consumes each distinct word
+    /// once with its multiplicity.
+    pub words: WordBag,
     /// Non-whitespace text chunks observed directly under the element
     /// (bounded reservoir; exact total and datatype mask).
     pub text_samples: SampleBag,
@@ -32,27 +35,79 @@ pub struct ElementFacts {
 impl ElementFacts {
     /// Whether the element ever had element children.
     pub fn has_element_children(&self) -> bool {
-        self.child_sequences.words().any(|w| !w.is_empty())
+        self.words.words().any(|w| !w.is_empty())
     }
 
     /// Whether the element ever had character data.
     pub fn has_text(&self) -> bool {
         !self.text_samples.is_empty()
     }
+
+    /// Folds in another corpus's facts for the same element name, whose
+    /// child symbols `f` translates into this corpus's alphabet.
+    fn merge(&mut self, other: &ElementFacts, f: impl FnMut(Sym) -> Sym) {
+        self.words.merge(&other.words.map_symbols(f));
+        self.text_samples.merge(&other.text_samples);
+        for (attr, values) in &other.attributes {
+            self.attributes
+                .entry(attr.clone())
+                .or_default()
+                .merge(values);
+        }
+        self.occurrences += other.occurrences;
+    }
+}
+
+/// Reusable extraction scratch: the open-element stack and a pool of
+/// recycled child [`Word`]s. A caller that extracts many documents reuses
+/// one arena, so the steady-state loop allocates only on first sight of a
+/// distinct child sequence. Scratch is not state: a clone starts empty.
+#[derive(Debug, Default)]
+pub struct ParseArena {
+    /// Open-element stack: (element symbol, children seen so far).
+    stack: Vec<(Sym, Word)>,
+    /// Recycled `Word` buffers.
+    spare: Vec<Word>,
+}
+
+impl Clone for ParseArena {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl ParseArena {
+    /// A fresh arena.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Returns every in-progress buffer to the spare pool (after a parse
+    /// error aborts a document mid-way, so the arena is clean for the
+    /// next one).
+    fn recycle(&mut self) {
+        while let Some((_, mut w)) = self.stack.pop() {
+            w.clear();
+            self.spare.push(w);
+        }
+    }
 }
 
 /// A corpus of XML documents reduced to inference-ready statistics.
+/// Memory is O(distinct child sequences) plus bounded samples, not
+/// O(corpus).
 #[derive(Debug, Clone, Default)]
 pub struct Corpus {
-    /// Interned element names.
+    /// Interned element names (arrival order; derivation canonicalizes).
     pub alphabet: Alphabet,
     /// Facts per element.
     pub elements: BTreeMap<Sym, ElementFacts>,
-    /// Root elements observed, with counts (document order of first root
-    /// wins ties in [`Corpus::root`]).
+    /// Root elements observed, with counts.
     pub roots: BTreeMap<Sym, u64>,
     /// Number of documents absorbed.
     pub num_documents: u64,
+    /// The scratch [`Corpus::add_document`] reuses across documents.
+    scratch: ParseArena,
 }
 
 impl Corpus {
@@ -69,18 +124,40 @@ impl Corpus {
 
     /// Parses one document and folds its statistics in.
     pub fn add_document(&mut self, doc: &str) -> Result<(), XmlError> {
-        let _span = dtdinfer_obs::span("xml.extract_document");
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let result = self.absorb_document_with(doc, &mut scratch);
+        self.scratch = scratch;
+        result
+    }
+
+    /// Same as [`Corpus::add_document`]; the engine's name for it.
+    pub fn absorb_document(&mut self, doc: &str) -> Result<(), XmlError> {
+        self.add_document(doc)
+    }
+
+    /// [`Corpus::add_document`] with caller-owned scratch: each closed
+    /// element's child word goes straight into that element's multiset,
+    /// cloned only on first sight of the shape.
+    pub fn absorb_document_with(
+        &mut self,
+        doc: &str,
+        arena: &mut ParseArena,
+    ) -> Result<(), XmlError> {
         // Per-document tallies, flushed to the metrics registry at the end
         // (one registry lock per document instead of one per event).
         let (mut n_elems, mut n_attrs, mut n_text) = (0u64, 0u64, 0u64);
         let mut parser = XmlPullParser::new(doc);
-        // Stack of (element symbol, children-so-far).
-        let mut stack: Vec<(Sym, Word)> = Vec::new();
         let mut seen_root = false;
-        while let Some(event) = parser
-            .next()
-            .inspect_err(|_| dtdinfer_obs::count("xml.parse_errors", 1))?
-        {
+        loop {
+            let event = match parser.next() {
+                Ok(Some(event)) => event,
+                Ok(None) => break,
+                Err(e) => {
+                    dtdinfer_obs::count("xml.parse_errors", 1);
+                    arena.recycle();
+                    return Err(e);
+                }
+            };
             match event {
                 XmlEvent::StartElement {
                     name, attributes, ..
@@ -103,27 +180,30 @@ impl Corpus {
                                 .insert(value);
                         }
                     }
-                    if let Some((_, children)) = stack.last_mut() {
+                    if let Some((_, children)) = arena.stack.last_mut() {
                         children.push(sym);
                     } else if !seen_root {
                         seen_root = true;
                         *self.roots.entry(sym).or_insert(0) += 1;
                     }
-                    stack.push((sym, Word::new()));
+                    let children = arena.spare.pop().unwrap_or_default();
+                    arena.stack.push((sym, children));
                 }
                 XmlEvent::EndElement { .. } => {
-                    let (sym, children) = stack.pop().expect("parser checks balance");
+                    let (sym, mut children) = arena.stack.pop().expect("parser checks balance");
                     self.elements
                         .entry(sym)
                         .or_default()
-                        .child_sequences
-                        .insert(children);
+                        .words
+                        .insert_ref(&children);
+                    children.clear();
+                    arena.spare.push(children);
                 }
                 XmlEvent::Text(text) => {
                     let trimmed = text.trim();
                     if !trimmed.is_empty() {
                         n_text += 1;
-                        if let Some(&mut (sym, _)) = stack.last_mut() {
+                        if let Some(&mut (sym, _)) = arena.stack.last_mut() {
                             self.elements
                                 .entry(sym)
                                 .or_default()
@@ -145,15 +225,25 @@ impl Corpus {
         Ok(())
     }
 
-    /// Adds many documents, stopping at the first parse error.
-    pub fn add_documents<'a, I: IntoIterator<Item = &'a str>>(
-        &mut self,
-        docs: I,
-    ) -> Result<(), XmlError> {
-        for d in docs {
-            self.add_document(d)?;
+    /// Merges another corpus in, reconciling the two alphabets by element
+    /// name: multisets and samples are unioned, counts added. Commutative
+    /// up to alphabet interning order, which derivation canonicalizes
+    /// away, so a sharded ingest derives the same DTD however documents
+    /// were distributed over shards.
+    pub fn merge(&mut self, other: &Corpus) {
+        let map: Vec<Sym> = other
+            .alphabet
+            .entries()
+            .map(|(_, name)| self.alphabet.intern(name))
+            .collect();
+        let f = |s: Sym| map[s.index()];
+        for (&sym, facts) in &other.elements {
+            self.elements.entry(f(sym)).or_default().merge(facts, f);
         }
-        Ok(())
+        for (&root, &count) in &other.roots {
+            *self.roots.entry(f(root)).or_insert(0) += count;
+        }
+        self.num_documents += other.num_documents;
     }
 
     /// The dominant root element (most documents), if any. Ties go to the
@@ -185,8 +275,12 @@ impl Corpus {
             .elements
             .iter()
             .map(|(&sym, facts)| {
-                let mut facts = facts.clone();
-                facts.child_sequences = facts.child_sequences.map_symbols(map);
+                let facts = ElementFacts {
+                    words: facts.words.map_symbols(map),
+                    text_samples: facts.text_samples.clone(),
+                    attributes: facts.attributes.clone(),
+                    occurrences: facts.occurrences,
+                };
                 (map(sym), facts)
             })
             .collect();
@@ -196,13 +290,14 @@ impl Corpus {
             elements,
             roots,
             num_documents: self.num_documents,
+            scratch: ParseArena::new(),
         }
     }
 
     /// The child-sequence multiset of one element name.
     pub fn sequences_of(&self, name: &str) -> Option<&WordBag> {
         let sym = self.alphabet.get(name)?;
-        self.elements.get(&sym).map(|f| &f.child_sequences)
+        self.elements.get(&sym).map(|f| &f.words)
     }
 
     /// Total number of extracted words (occurrences, not distinct
@@ -210,7 +305,7 @@ impl Corpus {
     pub fn total_sequences(&self) -> usize {
         self.elements
             .values()
-            .map(|f| f.child_sequences.total() as usize)
+            .map(|f| f.words.total() as usize)
             .sum()
     }
 }
@@ -312,6 +407,19 @@ mod tests {
     }
 
     #[test]
+    fn scratch_recovers_from_a_parse_error() {
+        // A document that fails mid-parse leaves open elements in the
+        // reused scratch; the next document must start from a clean one.
+        let mut c = Corpus::new();
+        assert!(c.add_document("<r><a><b/>").is_err());
+        c.add_document("<s><a/><a/></s>").unwrap();
+        let s = c.sequences_of("s").unwrap();
+        let words: Vec<String> = s.words().map(|w| c.alphabet.render_word(w, " ")).collect();
+        assert_eq!(words, vec!["a a"]);
+        assert_eq!(c.roots[&c.alphabet.get("s").unwrap()], 1);
+    }
+
+    #[test]
     fn parse_errors_propagate() {
         let mut c = Corpus::new();
         assert!(c.add_document("<r><a></r>").is_err());
@@ -332,7 +440,7 @@ mod tests {
         assert_eq!(canon.num_documents, 1);
         let z = canon.alphabet.get("z").unwrap();
         let word = canon.elements[&z]
-            .child_sequences
+            .words
             .words()
             .next()
             .expect("one sequence");

@@ -106,6 +106,10 @@ pub fn infer_dtd_with_stats(corpus: &Corpus, engine: InferenceEngine) -> (Dtd, V
         if dtdinfer_obs::is_enabled() {
             dtdinfer_obs::count_labeled("xml.engine", report.engine, 1);
             dtdinfer_obs::observe("xml.element.expr_size", report.expr_size as u64);
+        }
+        // Trace-only: the serve daemon derives on every ingest, and one
+        // event per element would flood its crash flight ring.
+        if dtdinfer_obs::trace_enabled() {
             dtdinfer_obs::event(
                 "xml.element",
                 &[
@@ -135,6 +139,14 @@ pub fn infer_dtd_with_stats(corpus: &Corpus, engine: InferenceEngine) -> (Dtd, V
         }
     }
     (dtd, reports)
+}
+
+impl Corpus {
+    /// Derives the DTD and per-element reports: [`infer_dtd_with_stats`]
+    /// as a method, the spelling the sharded engine uses.
+    pub fn derive(&self, engine: InferenceEngine) -> (Dtd, Vec<ElementReport>) {
+        infer_dtd_with_stats(self, engine)
+    }
 }
 
 /// Content-model size in tokens, for the stats report.
@@ -181,7 +193,7 @@ fn infer_element(
             // support threshold applies here too: child names occurring
             // fewer than `threshold` times are treated as intruders.
             let mut support: std::collections::BTreeMap<Sym, u64> = Default::default();
-            for (w, n) in facts.child_sequences.iter() {
+            for (w, n) in facts.words.iter() {
                 for &s in w {
                     *support.entry(s).or_insert(0) += u64::from(n);
                 }
@@ -203,9 +215,9 @@ fn infer_element(
             // set union (count-invariant), CRX and the support counters
             // take the multiplicity as a weight.
             let model = match engine {
-                InferenceEngine::Crx => crx_counted(facts.child_sequences.iter()),
+                InferenceEngine::Crx => crx_counted(facts.words.iter()),
                 InferenceEngine::Idtd => {
-                    let soa = Soa::learn(facts.child_sequences.words());
+                    let soa = Soa::learn(facts.words.words());
                     let (model, trace) = idtd_traced(&soa, IdtdConfig::default());
                     for e in &trace {
                         match e {
@@ -217,11 +229,10 @@ fn infer_element(
                     model
                 }
                 InferenceEngine::IdtdNoise { threshold } => {
-                    SupportSoa::learn_counted(facts.child_sequences.iter())
-                        .infer_denoised(threshold)
+                    SupportSoa::learn_counted(facts.words.iter()).infer_denoised(threshold)
                 }
                 InferenceEngine::Kore => {
-                    let outcome = KoreState::learn_counted(&facts.child_sequences).derive();
+                    let outcome = KoreState::learn_counted(&facts.words).derive();
                     for e in &outcome.events {
                         match e {
                             Event::Rewrite(_) => rewrite_steps += 1,
@@ -232,17 +243,11 @@ fn infer_element(
                     outcome.model
                 }
                 InferenceEngine::Auto => {
-                    let soa = Soa::learn(facts.child_sequences.words());
+                    let soa = Soa::learn(facts.words.words());
                     let sore = idtd_traced(&soa, IdtdConfig::default());
-                    let kore = KoreState::learn_counted(&facts.child_sequences).derive();
-                    let chare = crx_counted(facts.child_sequences.iter());
-                    let pick = pick_auto(
-                        sore,
-                        kore,
-                        chare,
-                        corpus.alphabet.len(),
-                        &facts.child_sequences,
-                    );
+                    let kore = KoreState::learn_counted(&facts.words).derive();
+                    let chare = crx_counted(facts.words.iter());
+                    let pick = pick_auto(sore, kore, chare, corpus.alphabet.len(), &facts.words);
                     engine_used = pick.engine;
                     for e in &pick.events {
                         match e {
@@ -264,7 +269,7 @@ fn infer_element(
         name: corpus.alphabet.name(sym).to_owned(),
         engine: engine_used,
         occurrences: facts.occurrences,
-        words: facts.child_sequences.total() as usize,
+        words: facts.words.total() as usize,
         rewrite_steps,
         repairs,
         fallbacks,

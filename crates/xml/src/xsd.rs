@@ -180,7 +180,7 @@ fn render_content(
             // Distinct words suffice: `tighten` takes per-word minima and
             // maxima, which repeats cannot change.
             let sequences: Option<Vec<Word>> = facts
-                .child_sequences
+                .words
                 .words()
                 .map(|w| {
                     w.iter()

@@ -4,13 +4,13 @@
 //! The load-bearing fact behind all three groups is that a [`KoreState`]
 //! is a pure function of the element's word *multiset* (marking commutes
 //! with 2T-INF), so merge order, shard boundaries, and snapshot round
-//! trips must all be invisible in the learned state and in the derived
-//! model.
+//! trips must all be invisible in the derived model.
 
 use dtdinfer_automata::ktestable::KTestable;
+use dtdinfer_core::crx::CrxState;
 use dtdinfer_core::kore::KoreState;
 use dtdinfer_engine::pool::ingest;
-use dtdinfer_engine::snapshot;
+use dtdinfer_engine::{snapshot, EngineState};
 use dtdinfer_regex::alphabet::{Sym, Word};
 use dtdinfer_regex::multiset::WordBag;
 use dtdinfer_xml::infer::InferenceEngine;
@@ -40,19 +40,49 @@ fn docs_of(words: &[Word]) -> Vec<String> {
         .collect()
 }
 
-/// Downgrades a v4 snapshot to the v3 wire format: drop the persisted
-/// kore rows and swap the header (mirrors what a v3 writer produced).
-fn downgrade_to_v3(text: &str) -> String {
-    let mut out = String::new();
-    for line in text.lines() {
-        if line == snapshot::HEADER {
-            out.push_str(snapshot::V3_HEADER);
-        } else if line.starts_with("k ") {
-            continue;
-        } else {
-            out.push_str(line);
+/// Writes `state` the way a v4 build did: the facts of a current save,
+/// with each element section followed by its learner rows (`c` CRX and
+/// `k` k-ORE records, learned from the section's multiset).
+fn as_v4(state: &EngineState) -> String {
+    let canon = state.canonicalized();
+    let learner_rows = |element: &dtdinfer_engine::ElementState| {
+        let mut crx = CrxState::new();
+        for (w, n) in element.words.iter() {
+            crx.absorb_counted(w, n);
         }
+        let kore = KoreState::learn_counted(&element.words);
+        let mut rows = String::new();
+        for (prefix, text) in [
+            ("c", crx.to_text(&canon.alphabet)),
+            ("k", kore.to_text(&canon.alphabet)),
+        ] {
+            for line in text.lines().filter(|l| !l.starts_with('#')) {
+                rows.push_str(&format!("{prefix} {line}\n"));
+            }
+        }
+        rows
+    };
+    // `save` writes sections in canonical symbol order, the order of
+    // `canon.elements`.
+    let mut sections = canon.elements.values();
+    let mut out = String::new();
+    let mut open = None;
+    for line in snapshot::save(&canon).lines() {
+        if line.starts_with("element ") {
+            if let Some(element) = open.take() {
+                out.push_str(&learner_rows(element));
+            }
+            open = sections.next();
+        }
+        out.push_str(if line == snapshot::HEADER {
+            snapshot::LEGACY_HEADERS[0]
+        } else {
+            line
+        });
         out.push('\n');
+    }
+    if let Some(element) = open {
+        out.push_str(&learner_rows(element));
     }
     out
 }
@@ -60,27 +90,24 @@ fn downgrade_to_v3(text: &str) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Splitting the word multiset into shards, learning each shard
-    /// separately, and merging is identical to learning the whole — for
-    /// every split point, and in either merge order.
+    /// Splitting the documents into shards, extracting each separately,
+    /// and merging is identical to extracting the whole — the multisets
+    /// coincide and so does the derived k-ORE — for every split point, in
+    /// either merge order.
     #[test]
     fn kore_merge_of_split_equals_whole(words in arb_words(3), cut in 0usize..10) {
-        let cut = cut.min(words.len());
-        let whole_bag: WordBag = words.iter().cloned().collect();
-        let whole = KoreState::learn_counted(&whole_bag);
-
-        let left_bag: WordBag = words[..cut].iter().cloned().collect();
-        let right_bag: WordBag = words[cut..].iter().cloned().collect();
-        let left = KoreState::learn_counted(&left_bag);
-        let right = KoreState::learn_counted(&right_bag);
-
-        let mut lr = left.clone();
-        lr.merge(&right);
-        prop_assert_eq!(&lr, &whole, "left ∪ right must equal the whole");
-
-        let mut rl = right.clone();
-        rl.merge(&left);
-        prop_assert_eq!(&rl, &whole, "merge must be commutative");
+        let docs = docs_of(&words);
+        let cut = cut.min(docs.len());
+        let whole = ingest(&docs, 1).expect("ingest").state;
+        let left = ingest(&docs[..cut], 1).expect("ingest").state;
+        let right = ingest(&docs[cut..], 1).expect("ingest").state;
+        let expected = whole.derive(InferenceEngine::Kore).0.serialize();
+        for (a, b) in [(&left, &right), (&right, &left)] {
+            let mut merged = a.clone();
+            merged.merge(b);
+            prop_assert_eq!(snapshot::save(&merged), snapshot::save(&whole));
+            prop_assert_eq!(merged.derive(InferenceEngine::Kore).0.serialize(), expected.clone());
+        }
     }
 
     /// Incremental absorption equals batch learning: the state is a pure
@@ -101,11 +128,11 @@ proptest! {
         prop_assert_eq!(&backward, &batch);
     }
 
-    /// Snapshot v4 round trip: save → load → save is the identity, and
-    /// the loaded state derives the same kore/auto DTDs — for any shard
-    /// count used during ingestion.
+    /// Snapshot round trip: save → load → save is the identity, and the
+    /// loaded state derives the same kore/auto DTDs — for any shard count
+    /// used during ingestion.
     #[test]
-    fn snapshot_v4_round_trips(words in arb_words(2), jobs in 1usize..4) {
+    fn snapshot_round_trips(words in arb_words(2), jobs in 1usize..4) {
         let docs = docs_of(&words);
         let state = ingest(&docs, jobs).expect("ingest").state;
         let text = snapshot::save(&state);
@@ -120,17 +147,17 @@ proptest! {
         }
     }
 
-    /// v3 read-compat: a snapshot with its kore rows stripped loads, the
-    /// kore state is rebuilt *exactly* from the word rows, and re-saving
-    /// produces the byte-identical v4 text the rows were stripped from.
+    /// v4 read-compat: a snapshot carrying learner rows loads by skipping
+    /// them, the k-ORE is derived from the word rows alone, and re-saving
+    /// writes the facts-only text of a fresh save.
     #[test]
-    fn snapshot_v3_rebuilds_kore_exactly(words in arb_words(2)) {
+    fn snapshot_v4_rebuilds_kore_exactly(words in arb_words(2)) {
         let docs = docs_of(&words);
         let state = ingest(&docs, 2).expect("ingest").state;
-        let v4 = snapshot::save(&state);
-        let v3 = downgrade_to_v3(&v4);
-        let loaded = snapshot::load(&v3).expect("v3 snapshot loads");
-        prop_assert_eq!(snapshot::save(&loaded), v4, "rebuild from word rows is exact");
+        let v4 = as_v4(&state);
+        prop_assert!(v4.contains("\nk "), "{}", v4);
+        let loaded = snapshot::load(&v4).expect("v4 snapshot loads");
+        prop_assert_eq!(snapshot::save(&loaded), snapshot::save(&state));
         prop_assert_eq!(
             loaded.derive(InferenceEngine::Kore).0.serialize(),
             state.derive(InferenceEngine::Kore).0.serialize()

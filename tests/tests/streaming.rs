@@ -111,7 +111,7 @@ fn corpus_words(c: &Corpus) -> Vec<(String, Vec<Vec<String>>)> {
             (
                 c.alphabet.name(sym).to_owned(),
                 facts
-                    .child_sequences
+                    .words
                     .iter()
                     .flat_map(|(w, n)| {
                         // Expand the counted multiset back to occurrences
