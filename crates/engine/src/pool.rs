@@ -327,7 +327,6 @@ fn absorb_one<S: DocSource>(
         };
         fail(IngestFailure::Parse(e))
     })?;
-    dtdinfer_obs::count("engine.documents", 1);
     Ok(len)
 }
 

@@ -37,7 +37,10 @@
 //! they load by skipping those rows, which were functions of the `w`
 //! rows. In a v5 file such a row is an unknown record. v2 files have no
 //! `w` rows, so their state cannot be rebuilt: they fail closed with an
-//! error that asks for the documents to be re-ingested. Other versions
+//! error that asks for the documents to be re-ingested. A v2 file re-saved
+//! by a v3/v4 build has the same gap behind a newer header, so each v3/v4
+//! section's `s words N` row must equal the total of its `w` rows, or the
+//! file fails closed the same way. Other versions
 //! and missing headers are rejected with a descriptive error rather than
 //! misread.
 
@@ -154,6 +157,14 @@ impl BagParts {
     }
 }
 
+/// The error for a snapshot whose state cannot be rebuilt from `w` rows.
+fn re_ingest(what: &str) -> String {
+    format!(
+        "{what}, so its state cannot be rebuilt; re-ingest the documents \
+         (dtdinfer snapshot save) to write a v5 snapshot"
+    )
+}
+
 /// One element section being accumulated: reservoir parts and multiset
 /// rows are assembled when the section closes.
 struct Section {
@@ -162,16 +173,22 @@ struct Section {
     text: Option<BagParts>,
     attrs: BTreeMap<String, BagParts>,
     words: Vec<(Word, u32)>,
+    /// In a v3/v4 file, the word count of the `s words N` row. A file that
+    /// began as v2 was re-saved with learner rows but few or no `w` rows,
+    /// so `N` must equal the total of the `w` rows for them to be the
+    /// whole state.
+    legacy_words: Option<u64>,
 }
 
 impl Section {
-    fn close(self, state: &mut EngineState) -> Result<(), String> {
+    fn close(self, state: &mut EngineState, legacy: bool) -> Result<(), String> {
         let Section {
             sym,
             mut element,
             text,
             attrs,
             words,
+            legacy_words,
         } = self;
         let name = |state: &EngineState| state.alphabet.name(sym).to_owned();
         // Rows were validated (non-zero counts, well-formed) as they were
@@ -187,6 +204,15 @@ impl Section {
                 "duplicate multiset row in element {:?}",
                 name(state)
             ));
+        }
+        if legacy && legacy_words != Some(element.words.total()) {
+            return Err(re_ingest(&format!(
+                "element {:?} has {} child sequence(s) in its \"w\" rows but its \
+                 learner rows count {} (a snapshot that began as v2)",
+                name(state),
+                element.words.total(),
+                legacy_words.map_or_else(|| "none".to_owned(), |n| n.to_string()),
+            )));
         }
         if let Some(parts) = text {
             element.text_samples = parts
@@ -213,12 +239,9 @@ pub fn load(text: &str) -> Result<EngineState, String> {
         Some(HEADER) => false,
         Some(h) if LEGACY_HEADERS.contains(&h) => true,
         Some("#dtdinfer-engine v2") => {
-            return Err(
-                "snapshot version \"v2\" has no counted child-sequence rows, so \
-                        its state cannot be rebuilt; re-ingest the documents \
-                        (dtdinfer snapshot save) to write a v5 snapshot"
-                    .to_owned(),
-            );
+            return Err(re_ingest(
+                "snapshot version \"v2\" has no counted child-sequence rows",
+            ));
         }
         Some(h) if h.starts_with("#dtdinfer-engine ") => {
             let version = h.trim_start_matches("#dtdinfer-engine ").trim();
@@ -258,7 +281,7 @@ pub fn load(text: &str) -> Result<EngineState, String> {
             }
             "element" => {
                 if let Some(section) = current.take() {
-                    section.close(&mut state)?;
+                    section.close(&mut state, legacy)?;
                 }
                 let sym = state.alphabet.intern(&unesc(rest).map_err(err)?);
                 current = Some(Section {
@@ -267,15 +290,31 @@ pub fn load(text: &str) -> Result<EngineState, String> {
                     text: None,
                     attrs: BTreeMap::new(),
                     words: Vec::new(),
+                    legacy_words: None,
                 });
             }
-            // Learner records of v3/v4 files: functions of the `w` rows.
-            "s" | "c" | "k" if legacy => {}
-            "occurrences" | "text" | "tv" | "attr" | "av" | "w" => {
+            // A v5 file holds facts only.
+            "s" | "c" | "k" if !legacy => return Err(err(format!("unknown record {kind:?}"))),
+            "occurrences" | "text" | "tv" | "attr" | "av" | "w" | "s" | "c" | "k" => {
                 let section = current
                     .as_mut()
                     .ok_or_else(|| err(format!("{kind:?} record outside an element section")))?;
                 match kind {
+                    // Learner records of v3/v4 files are functions of the
+                    // `w` rows; only the support-SOA word count is kept,
+                    // to check that the `w` rows are complete.
+                    "s" => {
+                        if let Some(n) = rest.strip_prefix("words ") {
+                            let n = n
+                                .trim()
+                                .parse()
+                                .map_err(|e| err(format!("bad learner word count: {e}")))?;
+                            if section.legacy_words.replace(n).is_some() {
+                                return Err(err("duplicate learner word count".into()));
+                            }
+                        }
+                    }
+                    "c" | "k" => {}
                     "occurrences" => {
                         section.element.occurrences = rest
                             .parse()
@@ -339,7 +378,7 @@ pub fn load(text: &str) -> Result<EngineState, String> {
         }
     }
     if let Some(section) = current.take() {
-        section.close(&mut state)?;
+        section.close(&mut state, legacy)?;
     }
     dtdinfer_obs::observe("engine.snapshot.bytes", text.len() as u64);
     Ok(state)
@@ -465,23 +504,26 @@ mod tests {
 
     /// Rewrites a v5 snapshot into the shape an earlier build wrote under
     /// `header`: the same facts, followed in every element section by
-    /// learner records (`s` support-SOA, `c` CRX, `k` k-ORE rows).
+    /// learner records (`s` support-SOA, `c` CRX, `k` k-ORE rows) whose
+    /// word counts match the section's `w` rows.
     fn as_legacy(v5: &str, header: &str) -> String {
-        const LEARNER_ROWS: &str = "s words 1\nc words 1\nk edge a 0 b 1\n";
+        let learner_rows = |n: u64| format!("s words {n}\nc words {n}\nk edge a 0 b 1\n");
         let mut out = String::new();
-        let mut in_section = false;
+        let mut section: Option<u64> = None;
         for line in v5.lines() {
             if line.starts_with("element ") {
-                if in_section {
-                    out.push_str(LEARNER_ROWS);
+                if let Some(n) = section.replace(0) {
+                    out.push_str(&learner_rows(n));
                 }
-                in_section = true;
+            }
+            if let (Some(n), Some(w)) = (section.as_mut(), line.strip_prefix("w ")) {
+                *n += w.split(' ').next().unwrap().parse::<u64>().unwrap();
             }
             out.push_str(if line == HEADER { header } else { line });
             out.push('\n');
         }
-        if in_section {
-            out.push_str(LEARNER_ROWS);
+        if let Some(n) = section {
+            out.push_str(&learner_rows(n));
         }
         out
     }
@@ -520,6 +562,48 @@ mod tests {
         let err = load(&v2).unwrap_err();
         assert!(err.contains("\"v2\""), "{err}");
         assert!(err.contains("re-ingest"), "{err}");
+    }
+
+    #[test]
+    fn legacy_sections_whose_w_rows_are_incomplete_fail_closed() {
+        // A v2 file re-saved by a v3/v4 build kept its learner rows but
+        // had no `w` rows; documents ingested after the upgrade added `w`
+        // rows that cover only part of the data. The `s words` count
+        // exposes both, so such files fail closed like v2.
+        let v4 = LEGACY_HEADERS[0];
+        for (bad, needle) in [
+            (
+                format!("{v4}\nelement a\noccurrences 5\ns words 5\ns sym b 5\nc words 5\n"),
+                "has 0 child sequence(s)",
+            ),
+            (
+                format!("{v4}\nelement a\noccurrences 5\nw 2 b\ns words 5\nc words 5\n"),
+                "has 2 child sequence(s)",
+            ),
+            (
+                format!("{v4}\nelement a\noccurrences 1\nw 1 b\nc words 1\n"),
+                "learner rows count none",
+            ),
+        ] {
+            let err = load(&bad).unwrap_err();
+            assert!(err.contains(needle), "{bad:?} → {err}");
+            assert!(err.contains("re-ingest"), "{bad:?} → {err}");
+        }
+        for (bad, needle) in [
+            (format!("{v4}\ns words 1\n"), "outside an element section"),
+            (format!("{v4}\nk words 1\n"), "outside an element section"),
+            (
+                format!("{v4}\nelement a\nw 1 b\ns words x\n"),
+                "bad learner word count",
+            ),
+            (
+                format!("{v4}\nelement a\nw 1 b\ns words 1\ns words 1\n"),
+                "duplicate learner word count",
+            ),
+        ] {
+            let err = load(&bad).unwrap_err();
+            assert!(err.contains(needle), "{bad:?} → {err}");
+        }
     }
 
     #[test]

@@ -219,6 +219,9 @@ impl Corpus {
         }
         self.num_documents += 1;
         dtdinfer_obs::count("xml.documents", 1);
+        // Every ingest (pool, serve, journal replay) absorbs here, so the
+        // engine-level counter the serve metrics report is counted here too.
+        dtdinfer_obs::count("engine.documents", 1);
         dtdinfer_obs::count("xml.elements", n_elems);
         dtdinfer_obs::count("xml.attributes", n_attrs);
         dtdinfer_obs::count("xml.text_chunks", n_text);

@@ -41,8 +41,9 @@ fn docs_of(words: &[Word]) -> Vec<String> {
 }
 
 /// Writes `state` the way a v4 build did: the facts of a current save,
-/// with each element section followed by its learner rows (`c` CRX and
-/// `k` k-ORE records, learned from the section's multiset).
+/// with each element section followed by its learner rows (the `s words`
+/// support-SOA count, and `c` CRX and `k` k-ORE records learned from the
+/// section's multiset).
 fn as_v4(state: &EngineState) -> String {
     let canon = state.canonicalized();
     let learner_rows = |element: &dtdinfer_engine::ElementState| {
@@ -51,7 +52,7 @@ fn as_v4(state: &EngineState) -> String {
             crx.absorb_counted(w, n);
         }
         let kore = KoreState::learn_counted(&element.words);
-        let mut rows = String::new();
+        let mut rows = format!("s words {}\n", element.words.total());
         for (prefix, text) in [
             ("c", crx.to_text(&canon.alphabet)),
             ("k", kore.to_text(&canon.alphabet)),
