@@ -11,7 +11,7 @@
 use crate::soa::Soa;
 use dtdinfer_regex::alphabet::Sym;
 use dtdinfer_regex::ast::Regex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// Identifier of a GFA node. `SOURCE` and `SINK` are reserved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -30,11 +30,17 @@ impl NodeId {
 }
 
 /// A generalized finite automaton with RE-labeled states.
+///
+/// Edges are kept as bitset rows, one per allocated id and `stride` words
+/// wide, for successors and (mirrored) predecessors; the rows of removed
+/// ids are empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Gfa {
     labels: BTreeMap<NodeId, Regex>,
-    succ: BTreeMap<NodeId, BTreeSet<NodeId>>,
-    pred: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    /// `u64` words per row: enough for every id below `next_id`.
+    stride: usize,
+    succ: Vec<u64>,
+    pred: Vec<u64>,
     next_id: u32,
 }
 
@@ -47,16 +53,11 @@ impl Default for Gfa {
 impl Gfa {
     /// An empty GFA with only source and sink.
     pub fn new() -> Self {
-        let mut succ = BTreeMap::new();
-        let mut pred = BTreeMap::new();
-        succ.insert(SOURCE, BTreeSet::new());
-        succ.insert(SINK, BTreeSet::new());
-        pred.insert(SOURCE, BTreeSet::new());
-        pred.insert(SINK, BTreeSet::new());
         Gfa {
             labels: BTreeMap::new(),
-            succ,
-            pred,
+            stride: 1,
+            succ: vec![0; 2],
+            pred: vec![0; 2],
             next_id: 2,
         }
     }
@@ -85,63 +86,75 @@ impl Gfa {
         (g, node_of)
     }
 
+    /// Whether `id` is the source, the sink, or a live inner node.
+    fn is_node(&self, id: NodeId) -> bool {
+        id.is_endpoint() || self.labels.contains_key(&id)
+    }
+
     /// Adds a labeled inner node.
     pub fn add_node(&mut self, label: Regex) -> NodeId {
         let id = NodeId(self.next_id);
         self.next_id += 1;
+        let stride = (self.next_id as usize).div_ceil(64);
+        if stride > self.stride {
+            // Widen every row by the words the new id needs.
+            let widen = |rows: &[u64]| -> Vec<u64> {
+                rows.chunks(self.stride)
+                    .flat_map(|row| {
+                        row.iter()
+                            .copied()
+                            .chain(std::iter::repeat_n(0, stride - self.stride))
+                    })
+                    .collect()
+            };
+            self.succ = widen(&self.succ);
+            self.pred = widen(&self.pred);
+            self.stride = stride;
+        }
+        self.succ.resize(self.next_id as usize * self.stride, 0);
+        self.pred.resize(self.next_id as usize * self.stride, 0);
         self.labels.insert(id, label);
-        self.succ.insert(id, BTreeSet::new());
-        self.pred.insert(id, BTreeSet::new());
         id
     }
 
     /// Adds an edge (idempotent).
     pub fn add_edge(&mut self, from: NodeId, to: NodeId) {
-        self.succ.get_mut(&from).expect("from exists").insert(to);
-        self.pred.get_mut(&to).expect("to exists").insert(from);
+        assert!(self.is_node(from), "from exists");
+        assert!(self.is_node(to), "to exists");
+        set_bit(row_mut(&mut self.succ, self.stride, from), to);
+        set_bit(row_mut(&mut self.pred, self.stride, to), from);
     }
 
     /// Removes an edge if present.
     pub fn remove_edge(&mut self, from: NodeId, to: NodeId) {
-        if let Some(s) = self.succ.get_mut(&from) {
-            s.remove(&to);
-        }
-        if let Some(p) = self.pred.get_mut(&to) {
-            p.remove(&from);
+        if from.0 < self.next_id && to.0 < self.next_id {
+            clear_bit(row_mut(&mut self.succ, self.stride, from), to);
+            clear_bit(row_mut(&mut self.pred, self.stride, to), from);
         }
     }
 
     /// Removes an inner node and all incident edges.
     pub fn remove_node(&mut self, id: NodeId) {
         assert!(!id.is_endpoint(), "cannot remove source/sink");
-        let outgoing: Vec<NodeId> = self
-            .succ
-            .remove(&id)
-            .unwrap_or_default()
-            .into_iter()
-            .collect();
+        if self.labels.remove(&id).is_none() {
+            return;
+        }
+        let stride = self.stride;
+        let outgoing: Vec<NodeId> = self.direct_succ(id).iter().collect();
         for to in outgoing {
-            if let Some(p) = self.pred.get_mut(&to) {
-                p.remove(&id);
-            }
+            clear_bit(row_mut(&mut self.pred, stride, to), id);
         }
-        let incoming: Vec<NodeId> = self
-            .pred
-            .remove(&id)
-            .unwrap_or_default()
-            .into_iter()
-            .collect();
+        let incoming: Vec<NodeId> = self.direct_pred(id).iter().collect();
         for from in incoming {
-            if let Some(s) = self.succ.get_mut(&from) {
-                s.remove(&id);
-            }
+            clear_bit(row_mut(&mut self.succ, stride, from), id);
         }
-        self.labels.remove(&id);
+        row_mut(&mut self.succ, stride, id).fill(0);
+        row_mut(&mut self.pred, stride, id).fill(0);
     }
 
     /// Whether the edge exists.
     pub fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
-        self.succ.get(&from).is_some_and(|s| s.contains(&to))
+        from.0 < self.next_id && self.direct_succ(from).contains(to)
     }
 
     /// Label of an inner node.
@@ -166,24 +179,24 @@ impl Gfa {
 
     /// Total number of edges.
     pub fn num_edges(&self) -> usize {
-        self.succ.values().map(BTreeSet::len).sum()
+        NodeSet::new(&self.succ).len()
     }
 
-    /// Direct successors.
-    pub fn direct_succ(&self, id: NodeId) -> &BTreeSet<NodeId> {
-        &self.succ[&id]
+    /// Direct successors, in ascending id order.
+    pub fn direct_succ(&self, id: NodeId) -> NodeSet<'_> {
+        NodeSet::new(row(&self.succ, self.stride, id))
     }
 
-    /// Direct predecessors.
-    pub fn direct_pred(&self, id: NodeId) -> &BTreeSet<NodeId> {
-        &self.pred[&id]
+    /// Direct predecessors, in ascending id order.
+    pub fn direct_pred(&self, id: NodeId) -> NodeSet<'_> {
+        NodeSet::new(row(&self.pred, self.stride, id))
     }
 
     /// All edges in deterministic order.
     pub fn edges(&self) -> Vec<(NodeId, NodeId)> {
-        self.succ
-            .iter()
-            .flat_map(|(&from, tos)| tos.iter().map(move |&to| (from, to)))
+        (0..self.next_id)
+            .map(NodeId)
+            .flat_map(|from| self.direct_succ(from).iter().map(move |to| (from, to)))
             .collect()
     }
 
@@ -220,43 +233,56 @@ impl Gfa {
     /// `(r,r)` for iterating labels, and (ii) `(r,r')` whenever a path from
     /// `r` to `r'` passes only intermediate nodes with ε in their language.
     pub fn closure(&self) -> Closure {
-        let nullable: BTreeSet<NodeId> = self
-            .labels
-            .iter()
-            .filter(|(_, r)| r.nullable())
-            .map(|(&id, _)| id)
-            .collect();
-        let mut succ: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
-        let mut pred: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
-        let all_nodes: Vec<NodeId> = self.succ.keys().copied().collect();
-        for &id in &all_nodes {
-            succ.entry(id).or_default();
-            pred.entry(id).or_default();
-        }
-        for &u in &all_nodes {
-            // BFS from u, continuing through nullable intermediates.
-            let mut stack: Vec<NodeId> = self.succ[&u].iter().copied().collect();
-            let mut reached: BTreeSet<NodeId> = BTreeSet::new();
-            while let Some(v) = stack.pop() {
-                if !reached.insert(v) {
-                    continue;
-                }
-                if nullable.contains(&v) {
-                    stack.extend(self.succ[&v].iter().copied());
-                }
+        let n = self.next_id as usize;
+        let stride = self.stride;
+        let direct = &self.succ;
+        let mut nullable = vec![0u64; stride];
+        for (&id, label) in &self.labels {
+            if label.nullable() {
+                set_bit(&mut nullable, id);
             }
-            for v in reached {
-                succ.get_mut(&u).expect("init").insert(v);
-                pred.get_mut(&v).expect("init").insert(u);
+        }
+        let mut succ = vec![0u64; n * stride];
+        let mut expanded = vec![0u64; stride];
+        for u in (0..self.next_id).map(NodeId) {
+            // Everything directly reachable from u, then repeatedly the
+            // successors of every reached nullable node not yet expanded.
+            // Removed ids have empty rows and stay empty.
+            let reach = row_mut(&mut succ, stride, u);
+            reach.copy_from_slice(row(direct, stride, u));
+            expanded.fill(0);
+            loop {
+                let mut grew = false;
+                for w in 0..stride {
+                    let mut todo = reach[w] & nullable[w] & !expanded[w];
+                    while todo != 0 {
+                        let bit = todo.trailing_zeros();
+                        todo &= todo - 1;
+                        expanded[w] |= 1 << bit;
+                        let v = NodeId(w as u32 * 64 + bit);
+                        for (dst, &src) in reach.iter_mut().zip(row(direct, stride, v)) {
+                            *dst |= src;
+                        }
+                        grew = true;
+                    }
+                }
+                if !grew {
+                    break;
+                }
             }
         }
         for (&id, label) in &self.labels {
             if Self::label_iterates(label) {
-                succ.get_mut(&id).expect("init").insert(id);
-                pred.get_mut(&id).expect("init").insert(id);
+                set_bit(row_mut(&mut succ, stride, id), id);
             }
         }
-        Closure { succ, pred }
+        let mut pred = vec![0u64; n * stride];
+        for u in (0..self.next_id).map(NodeId) {
+            for v in NodeSet::new(row(&succ, stride, u)).iter() {
+                set_bit(row_mut(&mut pred, stride, v), u);
+            }
+        }
+        Closure { stride, succ, pred }
     }
 
     /// Graphviz rendering.
@@ -278,22 +304,164 @@ impl Gfa {
     }
 }
 
+/// The bitset row of `id` in a row-major matrix `stride` words wide.
+fn row(rows: &[u64], stride: usize, id: NodeId) -> &[u64] {
+    &rows[id.0 as usize * stride..][..stride]
+}
+
+fn row_mut(rows: &mut [u64], stride: usize, id: NodeId) -> &mut [u64] {
+    &mut rows[id.0 as usize * stride..][..stride]
+}
+
+fn set_bit(words: &mut [u64], id: NodeId) {
+    words[id.0 as usize / 64] |= 1 << (id.0 % 64);
+}
+
+fn clear_bit(words: &mut [u64], id: NodeId) {
+    words[id.0 as usize / 64] &= !(1 << (id.0 % 64));
+}
+
 /// The ε-closure `G*`: predecessor and successor sets per node (§5).
+///
+/// Each set is a dense bitset row indexed by [`NodeId`], so the rule
+/// preconditions of the rewrite and repair systems reduce to word
+/// operations. Ids of removed nodes have empty rows; asking for an id the
+/// GFA had not yet allocated when the closure was computed panics, as a
+/// lookup of an unknown node always has. Iterating a row yields
+/// ids in ascending order — the order of an ordered set of `NodeId`s — so
+/// rules that scan these sets pick the same nodes as an ordered-set
+/// implementation would.
 #[derive(Debug, Clone)]
 pub struct Closure {
-    succ: BTreeMap<NodeId, BTreeSet<NodeId>>,
-    pred: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    /// `u64` words per row.
+    stride: usize,
+    succ: Vec<u64>,
+    pred: Vec<u64>,
 }
 
 impl Closure {
     /// `Pred(r)`: predecessors of `r` in `G*`.
-    pub fn pred(&self, id: NodeId) -> &BTreeSet<NodeId> {
-        &self.pred[&id]
+    pub fn pred(&self, id: NodeId) -> NodeSet<'_> {
+        NodeSet::new(row(&self.pred, self.stride, id))
     }
 
     /// `Succ(r)`: successors of `r` in `G*`.
-    pub fn succ(&self, id: NodeId) -> &BTreeSet<NodeId> {
-        &self.succ[&id]
+    pub fn succ(&self, id: NodeId) -> NodeSet<'_> {
+        NodeSet::new(row(&self.succ, self.stride, id))
+    }
+
+    /// An empty scratch set sized for this closure's ids, for the mask
+    /// arguments of [`NodeSet::eq_outside`] and [`NodeSet::covers`].
+    pub fn mask(&self) -> NodeMask {
+        NodeMask {
+            words: vec![0; self.stride],
+        }
+    }
+}
+
+/// A borrowed set of node ids: one bitset row of a [`Closure`], or a view
+/// of a [`NodeMask`]. The binary operations expect both operands to come
+/// from the same closure.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeSet<'a> {
+    words: &'a [u64],
+}
+
+impl<'a> NodeSet<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        NodeSet { words }
+    }
+
+    /// Whether `id` is a member.
+    pub fn contains(self, id: NodeId) -> bool {
+        self.words
+            .get(id.0 as usize / 64)
+            .is_some_and(|w| w >> (id.0 % 64) & 1 == 1)
+    }
+
+    /// The members in ascending id order.
+    pub fn iter(self) -> impl Iterator<Item = NodeId> + 'a {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    NodeId(i as u32 * 64 + bit)
+                })
+            })
+        })
+    }
+
+    /// Number of members.
+    pub fn len(self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Whether the two sets share no member.
+    pub fn is_disjoint(self, other: NodeSet<'_>) -> bool {
+        self.words.iter().zip(other.words).all(|(a, b)| a & b == 0)
+    }
+
+    /// `|self \ other|`.
+    pub fn difference_len(self, other: NodeSet<'_>) -> usize {
+        self.words
+            .iter()
+            .zip(other.words)
+            .map(|(a, b)| (a & !b).count_ones() as usize)
+            .sum()
+    }
+
+    /// Whether `self \ mask = other \ mask`.
+    pub fn eq_outside(self, other: NodeSet<'_>, mask: NodeSet<'_>) -> bool {
+        self.words
+            .iter()
+            .zip(other.words)
+            .zip(mask.words)
+            .all(|((a, b), m)| (a ^ b) & !m == 0)
+    }
+
+    /// Whether every member of `mask` is a member of `self`.
+    pub fn covers(self, mask: NodeSet<'_>) -> bool {
+        self.words.iter().zip(mask.words).all(|(a, m)| m & !a == 0)
+    }
+}
+
+/// An owned, reusable set of node ids, sized by [`Closure::mask`].
+#[derive(Debug, Clone)]
+pub struct NodeMask {
+    words: Vec<u64>,
+}
+
+impl NodeMask {
+    /// Adds `id` (which must be below the closure's id bound).
+    pub fn insert(&mut self, id: NodeId) {
+        set_bit(&mut self.words, id);
+    }
+
+    /// Removes every member.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Sets the mask to a copy of `set` (whose length must match).
+    pub fn copy_from(&mut self, set: NodeSet<'_>) {
+        self.words.copy_from_slice(set.words);
+    }
+
+    /// Removes `id` if present.
+    pub fn remove(&mut self, id: NodeId) {
+        clear_bit(&mut self.words, id);
+    }
+
+    /// A borrowed view of the mask.
+    pub fn as_set(&self) -> NodeSet<'_> {
+        NodeSet::new(&self.words)
     }
 }
 
@@ -352,12 +520,12 @@ mod tests {
         g.add_edge(b, c);
         g.add_edge(c, SINK);
         let cl = g.closure();
-        assert!(cl.succ(a).contains(&c));
-        assert!(cl.pred(c).contains(&a));
-        assert!(cl.succ(a).contains(&b));
+        assert!(cl.succ(a).contains(c));
+        assert!(cl.pred(c).contains(a));
+        assert!(cl.succ(a).contains(b));
         // But not (source, c): the path passes the non-nullable node a.
-        assert!(!cl.succ(SOURCE).contains(&c));
-        assert!(!cl.succ(SOURCE).contains(&SINK));
+        assert!(!cl.succ(SOURCE).contains(c));
+        assert!(!cl.succ(SOURCE).contains(SINK));
     }
 
     #[test]
@@ -370,15 +538,15 @@ mod tests {
         g.add_edge(p, q);
         g.add_edge(q, SINK);
         let cl = g.closure();
-        assert!(cl.succ(p).contains(&p), "s+ node gets closure self-edge");
-        assert!(!cl.succ(q).contains(&q));
+        assert!(cl.succ(p).contains(p), "s+ node gets closure self-edge");
+        assert!(!cl.succ(q).contains(q));
         // (s+)? also iterates:
         g.set_label(
             p,
             Regex::Optional(Box::new(Regex::plus(Regex::sym(syms[0])))),
         );
         let cl = g.closure();
-        assert!(cl.succ(p).contains(&p));
+        assert!(cl.succ(p).contains(p));
     }
 
     #[test]
@@ -406,9 +574,9 @@ mod tests {
         g.add_edge(a, b);
         g.add_edge(b, SINK);
         let cl = g.closure();
-        assert!(cl.succ(a).contains(&b));
-        assert!(cl.pred(b).contains(&a));
-        assert!(cl.pred(a).contains(&SOURCE));
-        assert!(cl.succ(b).contains(&SINK));
+        assert!(cl.succ(a).contains(b));
+        assert!(cl.pred(b).contains(a));
+        assert!(cl.pred(a).contains(SOURCE));
+        assert!(cl.succ(b).contains(SINK));
     }
 }

@@ -26,6 +26,65 @@ use dtdinfer_xml::xsd::{generate_xsd, XsdOptions};
 use std::io::Read;
 use std::process::ExitCode;
 
+/// Standard output for every subcommand. A reader that stops early (as in
+/// `dtdinfer stats FILE… | head -1`) closes the pipe; that ends the output
+/// quietly, where `print!` would panic. The command still runs to its end
+/// and exits 0. Any other write error is reported once on stderr and makes
+/// the exit status a failure.
+mod stdout {
+    use std::io::{ErrorKind, Write};
+    use std::sync::atomic::{AtomicU8, Ordering};
+
+    const OPEN: u8 = 0;
+    const CLOSED: u8 = 1;
+    const FAILED: u8 = 2;
+    static STATE: AtomicU8 = AtomicU8::new(OPEN);
+
+    fn settle(result: std::io::Result<()>) {
+        if let Err(e) = result {
+            if e.kind() == ErrorKind::BrokenPipe {
+                STATE.store(CLOSED, Ordering::Relaxed);
+            } else {
+                eprintln!("dtdinfer: writing to stdout: {e}");
+                STATE.store(FAILED, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Writes formatted output unless stdout has already ended.
+    pub fn write(args: std::fmt::Arguments<'_>) {
+        if STATE.load(Ordering::Relaxed) == OPEN {
+            settle(std::io::stdout().lock().write_fmt(args));
+        }
+    }
+
+    /// Flushes what is buffered; `false` if a write to stdout failed for a
+    /// reason other than a closed pipe.
+    pub fn finish() -> bool {
+        if STATE.load(Ordering::Relaxed) == OPEN {
+            settle(std::io::stdout().lock().flush());
+        }
+        STATE.load(Ordering::Relaxed) != FAILED
+    }
+}
+
+/// `print!` through [`stdout::write`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        stdout::write(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`stdout::write`].
+macro_rules! outln {
+    () => {
+        stdout::write(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        stdout::write(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Counting allocator for `--metrics` memory accounting. Only installed
 /// when built with `--features alloc-count`; default builds keep the
 /// plain system allocator and pay nothing.
@@ -246,7 +305,7 @@ impl ObsOptions {
 /// Writes to a file, or to stdout when `target` is `-`.
 fn write_output(target: &str, content: &str) -> Result<(), String> {
     if target == "-" {
-        print!("{content}");
+        out!("{content}");
         Ok(())
     } else {
         std::fs::write(target, content).map_err(|e| format!("{target}: {e}"))
@@ -275,8 +334,10 @@ fn main() -> ExitCode {
         }
         Some(other) => Err(format!("unknown subcommand {other:?} (try --help)")),
     };
+    let written = stdout::finish();
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) if written => ExitCode::SUCCESS,
+        Ok(()) => ExitCode::FAILURE,
         Err(e) => {
             eprintln!("dtdinfer: {e}");
             ExitCode::FAILURE
@@ -285,7 +346,7 @@ fn main() -> ExitCode {
 }
 
 fn print_usage() {
-    println!(
+    outln!(
         "dtdinfer — inference of concise DTDs from XML data (VLDB 2006)
 
 USAGE:
@@ -501,9 +562,9 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
         }
         let schema = dtdinfer_xml::contextual::infer_contextual(&corpus, engine);
         if xsd {
-            print!("{}", dtdinfer_xml::contextual::contextual_xsd(&schema));
+            out!("{}", dtdinfer_xml::contextual::contextual_xsd(&schema));
         } else {
-            print!("{}", schema.render());
+            out!("{}", schema.render());
             if schema.requires_xsd() {
                 eprintln!(
                     "note: this corpus needs XSD typing (an element has context-dependent content)"
@@ -527,7 +588,7 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
         }
     }
     if xsd {
-        print!(
+        out!(
             "{}",
             generate_xsd(
                 &dtd,
@@ -538,7 +599,7 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
             )
         );
     } else {
-        print!("{}", dtd.serialize());
+        out!("{}", dtd.serialize());
     }
     obs.finish()
 }
@@ -631,7 +692,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 /// `stats --jobs N`.
 fn print_shards(ingested: &Ingest) {
     for s in &ingested.shards {
-        println!(
+        outln!(
             "shard {}: {} document(s), {} word(s), ingest {}",
             s.shard,
             s.documents,
@@ -639,17 +700,25 @@ fn print_shards(ingested: &Ingest) {
             fmt_ns(s.duration_ns)
         );
     }
-    println!("shard merge {}", fmt_ns(ingested.merge_ns));
-    println!(
+    outln!("shard merge {}", fmt_ns(ingested.merge_ns));
+    outln!(
         "peak in flight: {} byte(s), {} doc(s)",
-        ingested.peak_bytes_in_flight, ingested.peak_docs_in_flight
+        ingested.peak_bytes_in_flight,
+        ingested.peak_docs_in_flight
     );
-    println!(
+    outln!(
         "{:<8} {:>10} {:>10} {:>12} {:>12} {:>7} {:>12} {:>7}",
-        "worker", "documents", "bytes", "busy", "wall", "claims", "idle polls", "util"
+        "worker",
+        "documents",
+        "bytes",
+        "busy",
+        "wall",
+        "claims",
+        "idle polls",
+        "util"
     );
     for s in &ingested.shards {
-        println!(
+        outln!(
             "{:<8} {:>10} {:>10} {:>12} {:>12} {:>7} {:>12} {:>6.1}%",
             s.shard,
             s.documents,
@@ -664,9 +733,15 @@ fn print_shards(ingested: &Ingest) {
 }
 
 fn print_stats(num_documents: u64, reports: &[ElementReport]) {
-    println!(
+    outln!(
         "{:<24} {:>8} {:>7} {:>9} {:>8} {:>5} {:>10}",
-        "element", "engine", "words", "rewrites", "repairs", "size", "time"
+        "element",
+        "engine",
+        "words",
+        "rewrites",
+        "repairs",
+        "size",
+        "time"
     );
     let mut total_ns = 0u64;
     for r in reports {
@@ -676,7 +751,7 @@ fn print_stats(num_documents: u64, reports: &[ElementReport]) {
         } else {
             r.engine.to_owned()
         };
-        println!(
+        outln!(
             "{:<24} {:>8} {:>7} {:>9} {:>8} {:>5} {:>10}",
             r.name,
             engine,
@@ -688,7 +763,7 @@ fn print_stats(num_documents: u64, reports: &[ElementReport]) {
         );
         total_ns += r.duration_ns;
     }
-    println!(
+    outln!(
         "{num_documents} document(s), {} element(s), inference {}",
         reports.len(),
         fmt_ns(total_ns)
@@ -733,7 +808,7 @@ fn cmd_snapshot_save(args: &[String]) -> Result<(), String> {
     let ingested = stream_ingest(EngineState::new(), &files, jobs, &obs)?;
     let text = snapshot::save(&ingested.state);
     std::fs::write(&out, &text).map_err(|e| format!("{out}: {e}"))?;
-    println!(
+    outln!(
         "{out}: {} document(s), {} element(s), {} bytes",
         ingested.state.num_documents,
         ingested.state.elements.len(),
@@ -777,7 +852,7 @@ fn cmd_snapshot_load(args: &[String]) -> Result<(), String> {
     let state = read_snapshot(path)?;
     let (dtd, _) = state.derive(engine);
     if xsd {
-        print!(
+        out!(
             "{}",
             generate_xsd(
                 &dtd,
@@ -788,7 +863,7 @@ fn cmd_snapshot_load(args: &[String]) -> Result<(), String> {
             )
         );
     } else {
-        print!("{}", dtd.serialize());
+        out!("{}", dtd.serialize());
     }
     obs.finish()
 }
@@ -821,7 +896,7 @@ fn cmd_snapshot_update(args: &[String]) -> Result<(), String> {
     let ingested = stream_ingest(base, files, jobs, &obs)?;
     let text = snapshot::save(&ingested.state);
     std::fs::write(snap, &text).map_err(|e| format!("{snap}: {e}"))?;
-    println!(
+    outln!(
         "{snap}: {} document(s), {} element(s), {} bytes",
         ingested.state.num_documents,
         ingested.state.elements.len(),
@@ -861,13 +936,13 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
             if json {
                 eprintln!("{dtd_path}: {issue}");
             } else {
-                println!("{dtd_path}: {issue}");
+                outln!("{dtd_path}: {issue}");
             }
         }
         if files.is_empty() {
             return if issues.is_empty() {
                 if !json {
-                    println!("DTD is deterministic (XML-spec conformant)");
+                    outln!("DTD is deterministic (XML-spec conformant)");
                 }
                 Ok(())
             } else {
@@ -903,17 +978,17 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
         } else {
             let violations = dtd.validate(&text).map_err(|e| format!("{f}: {e}"))?;
             for v in &violations {
-                println!("{f}: {v}");
+                outln!("{f}: {v}");
             }
             total_violations += violations.len();
         }
     }
     if json {
-        println!("{{\"files\":[{json_files}\n],\"total_violations\":{total_violations}}}");
+        outln!("{{\"files\":[{json_files}\n],\"total_violations\":{total_violations}}}");
     }
     if total_violations == 0 {
         if !json {
-            println!("all {} document(s) valid", files.len());
+            outln!("all {} document(s) valid", files.len());
         }
         Ok(())
     } else {
@@ -1046,7 +1121,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let (case, result) =
                 dtdinfer_fuzz::replay_file(&text).map_err(|e| format!("{path}: {e}"))?;
-            println!(
+            outln!(
                 "{path}: seed {} case {} ({}, {} doc(s)): {}",
                 case.seed,
                 case.case,
@@ -1059,7 +1134,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
                 }
             );
             for v in &result.violations {
-                println!("{path}: [{}] {}", v.oracle, v.detail);
+                outln!("{path}: [{}] {}", v.oracle, v.detail);
             }
             total += result.violations.len();
         }
@@ -1071,7 +1146,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
         };
     }
     let report = dtdinfer_fuzz::run(&cfg)?;
-    print!("{}", report.render_text());
+    out!("{}", report.render_text());
     obs.finish()?;
     if report.total_violations() == 0 {
         Ok(())
@@ -1133,10 +1208,10 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 
     let forest = dtdinfer_obs::profile::build_forest(&trace);
     let path = dtdinfer_obs::profile::critical_path(&forest);
-    println!("critical path (longest span chain, wall-clock bound):");
-    println!("{:<32} {:>6} {:>12} {:>12}", "phase", "tid", "wall", "self");
+    outln!("critical path (longest span chain, wall-clock bound):");
+    outln!("{:<32} {:>6} {:>12} {:>12}", "phase", "tid", "wall", "self");
     for step in &path {
-        println!(
+        outln!(
             "{:<32} {:>6} {:>12} {:>12}",
             format!("{}{}", "  ".repeat(step.depth), step.name),
             step.tid,
@@ -1144,14 +1219,18 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             fmt_ns(step.self_ns)
         );
     }
-    println!();
-    println!("phases by self time:");
-    println!(
+    outln!();
+    outln!("phases by self time:");
+    outln!(
         "{:<32} {:>7} {:>12} {:>12} {:>12}",
-        "phase", "count", "total", "self", "max"
+        "phase",
+        "count",
+        "total",
+        "self",
+        "max"
     );
     for stat in dtdinfer_obs::profile::phase_stats(&forest) {
-        println!(
+        outln!(
             "{:<32} {:>7} {:>12} {:>12} {:>12}",
             stat.name,
             stat.count,
@@ -1160,15 +1239,19 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             fmt_ns(stat.max_ns)
         );
     }
-    println!();
-    println!("top {top} elements by inference cost:");
-    println!(
+    outln!();
+    outln!("top {top} elements by inference cost:");
+    outln!(
         "{:<24} {:>8} {:>7} {:>5} {:>10}",
-        "element", "engine", "words", "size", "time"
+        "element",
+        "engine",
+        "words",
+        "size",
+        "time"
     );
     reports.sort_by(|a, b| b.duration_ns.cmp(&a.duration_ns).then(a.name.cmp(&b.name)));
     for r in reports.iter().take(top) {
-        println!(
+        outln!(
             "{:<24} {:>8} {:>7} {:>5} {:>10}",
             r.name,
             r.engine,
@@ -1178,10 +1261,12 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         );
     }
     if dtdinfer_obs::alloc::compiled_in() {
-        println!();
-        println!(
+        outln!();
+        outln!(
             "allocator: peak {} byte(s), total {} byte(s) over {} allocation(s)",
-            alloc.peak_bytes, alloc.total_bytes, alloc.allocations
+            alloc.peak_bytes,
+            alloc.total_bytes,
+            alloc.allocations
         );
     }
     let stacks = dtdinfer_obs::profile::folded_stacks(&forest);
@@ -1189,8 +1274,8 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         return Err("trace produced no spans to fold".to_owned());
     }
     std::fs::write(&folded, &stacks).map_err(|e| format!("{folded}: {e}"))?;
-    println!();
-    println!(
+    outln!();
+    outln!(
         "folded stacks: {folded} ({} line(s)) — feed to flamegraph.pl / inferno / speedscope",
         stacks.lines().count()
     );
@@ -1292,7 +1377,7 @@ fn cmd_omlint(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    println!("OK: {families} famil(ies), {samples} sample(s), {labeled} labeled");
+    outln!("OK: {families} famil(ies), {samples} sample(s), {labeled} labeled");
     Ok(())
 }
 
@@ -1327,7 +1412,7 @@ fn cmd_sample(args: &[String]) -> Result<(), String> {
     let mut al = Alphabet::new();
     let r = dtdinfer_regex::parser::parse(&expr, &mut al).map_err(|e| e.to_string())?;
     for w in dtdinfer_gen::generator::generate_sample(&r, count, seed) {
-        println!("{}", al.render_word(&w, " "));
+        outln!("{}", al.render_word(&w, " "));
     }
     Ok(())
 }
@@ -1346,7 +1431,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         .map(|line| line.split_whitespace().map(|t| al.intern(t)).collect())
         .collect();
     let soa = dtdinfer_automata::soa::Soa::learn(&words);
-    println!(
+    outln!(
         "2T-INF: SOA with {} states, {} edges",
         soa.num_states(),
         soa.num_edges()
@@ -1361,7 +1446,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
                     .iter()
                     .map(|r| dtdinfer_regex::display::render(r, &al))
                     .collect();
-                println!(
+                outln!(
                     "({:>2}) {:<14} {}  ⇒  {}",
                     i + 1,
                     step.rule.name(),
@@ -1374,18 +1459,18 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
                 k,
                 edges_added,
             } => {
-                println!(
+                outln!(
                     "({:>2}) {:<14} k={k}, {edges_added} edge(s) added",
                     i + 1,
                     kind.name()
                 );
             }
             dtdinfer_core::idtd::Event::Fallback => {
-                println!("({:>2}) fallback: merge-everything", i + 1);
+                outln!("({:>2}) fallback: merge-everything", i + 1);
             }
         }
     }
-    println!("result: {}", model.render(&al));
+    outln!("result: {}", model.render(&al));
     Ok(())
 }
 
@@ -1395,7 +1480,7 @@ fn cmd_dot(args: &[String]) -> Result<(), String> {
     let r = dtdinfer_regex::parser::parse(expr, &mut al).map_err(|e| e.to_string())?;
     let soa = dtdinfer_automata::glushkov::soa_of_sore(&r)
         .ok_or("expression is not single occurrence (no SOA exists)")?;
-    print!("{}", soa.to_dot(&al));
+    out!("{}", soa.to_dot(&al));
     Ok(())
 }
 
@@ -1408,7 +1493,7 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
     let b = Dtd::parse(&std::fs::read_to_string(second).map_err(|e| format!("{second}: {e}"))?)
         .map_err(|e| e.to_string())?;
     for d in dtdinfer_xml::diff::diff(&a, &b) {
-        println!("{:<24} {}", d.name, d.relation);
+        outln!("{:<24} {}", d.name, d.relation);
     }
     Ok(())
 }
@@ -1456,7 +1541,7 @@ fn cmd_learn(args: &[String]) -> Result<(), String> {
                     soa.absorb(w);
                 }
                 std::fs::write(&path, soa.to_text(&al)).map_err(|e| format!("{path}: {e}"))?;
-                println!("{}", dtdinfer_core::idtd::idtd(&soa).render(&al));
+                outln!("{}", dtdinfer_core::idtd::idtd(&soa).render(&al));
             }
             "crx" => {
                 let mut state = match &existing {
@@ -1468,7 +1553,7 @@ fn cmd_learn(args: &[String]) -> Result<(), String> {
                     state.absorb(w);
                 }
                 std::fs::write(&path, state.to_text(&al)).map_err(|e| format!("{path}: {e}"))?;
-                println!("{}", state.infer().render(&al));
+                outln!("{}", state.infer().render(&al));
             }
             "kore" => {
                 let mut state = match &existing {
@@ -1480,7 +1565,7 @@ fn cmd_learn(args: &[String]) -> Result<(), String> {
                     state.absorb(w);
                 }
                 std::fs::write(&path, state.to_text(&al)).map_err(|e| format!("{path}: {e}"))?;
-                println!("{}", state.derive().model.render(&al));
+                outln!("{}", state.derive().model.render(&al));
             }
             other => return Err(format!("--state does not support engine {other:?}")),
         }
@@ -1498,6 +1583,6 @@ fn cmd_learn(args: &[String]) -> Result<(), String> {
         }
         other => return Err(format!("unknown engine {other:?}")),
     };
-    println!("{}", model.render(&al));
+    outln!("{}", model.render(&al));
     obs.finish()
 }

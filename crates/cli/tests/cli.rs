@@ -533,6 +533,37 @@ fn infer_metrics_emits_json_with_derivation_counters() {
     assert!(json.contains("\"xml.element.expr_size\":"), "{json}");
 }
 
+/// A reader that stops early (`dtdinfer stats FILE… | head -1`) closes the
+/// pipe under the binary. That ends the output quietly: exit 0, where a
+/// `print!` on the closed pipe used to panic with status 101.
+#[test]
+fn stats_survives_a_closed_stdout() {
+    let dir = tempdir().join("closed-stdout");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let files: Vec<String> = (0..200)
+        .map(|i| {
+            let path = dir.join(format!("d{i}.xml"));
+            std::fs::write(&path, format!("<r><e{i}/><x/></r>")).expect("write doc");
+            path.to_str().expect("utf-8 path").to_owned()
+        })
+        .collect();
+    let mut child = bin()
+        .arg("stats")
+        .args(&files)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dtdinfer");
+    // Close the read end before the binary has parsed its inputs, so every
+    // line of its report meets a closed pipe.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "stats panicked: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+}
+
 #[test]
 fn stats_prints_per_element_report() {
     let dir = tempdir();

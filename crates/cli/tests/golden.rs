@@ -143,6 +143,92 @@ fn kore_corpus_matches_golden_across_jobs_and_permutations() {
     }
 }
 
+/// The `stats` element table without its time column, and without the
+/// shard tables `--jobs` appends after it.
+fn stats_table(stdout: &[u8]) -> String {
+    let text = String::from_utf8_lossy(stdout);
+    let mut table = String::new();
+    for line in text.lines() {
+        if let Some(cut) = line.find(", inference ") {
+            table.push_str(&line[..cut]);
+            table.push('\n');
+            break;
+        }
+        // The time column is last: a space and 10 right-aligned characters.
+        let cut = line.char_indices().rev().nth(10).map_or(0, |(i, _)| i);
+        table.push_str(line[..cut].trim_end());
+        table.push('\n');
+    }
+    table
+}
+
+/// `testdata/wide/` holds 50 documents sampled (seed 6) from the wide
+/// generated schema `random_dtd(3, Shape::LargeAlphabet)`, the schema of
+/// the `wide-warm-start` benchmark. Unlike books and songs it drives the
+/// repair-heavy path: one element repeats a child four times (k = 4),
+/// iDTD repairs fire, and auto picks both SORE and k-ORE models. Every
+/// engine's DTD and the per-element `stats` counts are pinned across job
+/// counts and document permutations.
+#[test]
+fn wide_corpus_matches_golden_across_jobs_and_permutations() {
+    let files = corpus("testdata/wide");
+    let mut reversed = files.clone();
+    reversed.reverse();
+    let (even, odd): (Vec<_>, Vec<_>) = files
+        .iter()
+        .cloned()
+        .enumerate()
+        .partition(|(i, _)| i % 2 == 0);
+    let interleaved: Vec<String> = odd.into_iter().chain(even).map(|(_, f)| f).collect();
+    for engine in ["idtd", "kore", "auto"] {
+        let expected = golden(&format!("wide.{engine}.dtd"));
+        for jobs in ["1", "2", "4"] {
+            assert_eq!(
+                infer_files(&files, &["--engine", engine, "--jobs", jobs]),
+                expected,
+                "{engine} --jobs {jobs}"
+            );
+        }
+        for (order, docs) in [("reversed", &reversed), ("interleaved", &interleaved)] {
+            assert_eq!(
+                infer_files(docs, &["--engine", engine, "--jobs", "2"]),
+                expected,
+                "{engine} {order} file order"
+            );
+        }
+    }
+
+    let expected = String::from_utf8(golden("wide.auto.stats")).expect("utf-8 golden");
+    for verdict in ["auto-sore", "auto-kore"] {
+        assert!(
+            expected.contains(verdict),
+            "the corpus no longer yields {verdict}"
+        );
+    }
+    let stats = |docs: &[String], extra: &[&str]| {
+        let refs: Vec<&str> = docs.iter().map(String::as_str).collect();
+        let out = Command::new(env!("CARGO_BIN_EXE_dtdinfer"))
+            .args([&["stats", "--engine", "auto"][..], extra, &refs].concat())
+            .output()
+            .expect("spawn dtdinfer");
+        assert!(out.status.success(), "stats {extra:?} failed");
+        stats_table(&out.stdout)
+    };
+    assert_eq!(stats(&files, &[]), expected, "stats");
+    for jobs in ["1", "2", "4"] {
+        assert_eq!(
+            stats(&files, &["--jobs", jobs]),
+            expected,
+            "stats --jobs {jobs}"
+        );
+    }
+    assert_eq!(
+        stats(&reversed, &["--jobs", "2"]),
+        expected,
+        "stats reversed"
+    );
+}
+
 /// `testdata/snapshots/books.v4.snap` was written by a v4 build (the last
 /// format with learner rows) from `testdata/books/*.xml`. Loading it must
 /// derive the goldens for every engine, and re-saving it must write what

@@ -29,7 +29,6 @@ use dtdinfer_automata::soa::Soa;
 use dtdinfer_regex::alphabet::Word;
 use dtdinfer_regex::ast::Regex;
 use dtdinfer_regex::normalize::{normalize, simplify, star_form};
-use std::collections::BTreeSet;
 
 /// Tuning parameters for iDTD.
 #[derive(Debug, Clone, Copy)]
@@ -273,25 +272,23 @@ fn enable_disjunction(g: &mut Gfa, k: usize) -> Option<usize> {
     let nodes: Vec<NodeId> = g.inner_nodes().collect();
     let mut best: Option<(usize, NodeId, NodeId)> = None;
     for (i, &r1) in nodes.iter().enumerate() {
+        let (p1, s1) = (closure.pred(r1), closure.succ(r1));
         for &r2 in &nodes[i + 1..] {
-            let p1 = closure.pred(r1);
-            let p2 = closure.pred(r2);
-            let s1 = closure.succ(r1);
-            let s2 = closure.succ(r2);
-            let pd1: Vec<_> = p1.difference(p2).collect();
-            let pd2: Vec<_> = p2.difference(p1).collect();
-            let sd1: Vec<_> = s1.difference(s2).collect();
-            let sd2: Vec<_> = s2.difference(s1).collect();
-            let missing = pd1.len() + pd2.len() + sd1.len() + sd2.len();
+            let (p2, s2) = (closure.pred(r2), closure.succ(r2));
+            let pd1 = p1.difference_len(p2);
+            let pd2 = p2.difference_len(p1);
+            let sd1 = s1.difference_len(s2);
+            let sd2 = s2.difference_len(s1);
+            let missing = pd1 + pd2 + sd1 + sd2;
             if missing == 0 {
                 continue; // rewrite's disjunction rule handles this itself
             }
             let cond_a = !p1.is_disjoint(p2)
                 && !s1.is_disjoint(s2)
-                && pd1.len() <= k
-                && pd2.len() <= k
-                && sd1.len() <= k
-                && sd2.len() <= k;
+                && pd1 <= k
+                && pd2 <= k
+                && sd1 <= k
+                && sd2 <= k;
             let cond_b = g.has_edge(r1, r2) && g.has_edge(r2, r1);
             if cond_a || cond_b {
                 // Prefer the pair needing the fewest added edges: iDTD aims
@@ -303,19 +300,19 @@ fn enable_disjunction(g: &mut Gfa, k: usize) -> Option<usize> {
         }
     }
     let (_, r1, r2) = best?;
-    let closure = g.closure();
-    let pred_union: BTreeSet<NodeId> = closure.pred(r1).union(closure.pred(r2)).copied().collect();
-    let succ_union: BTreeSet<NodeId> = closure.succ(r1).union(closure.succ(r2)).copied().collect();
+    // The closure above still describes `g`: nothing changed since. Each
+    // member gains the closure neighbours only its partner has.
     let mut added = 0usize;
-    for &r in &[r1, r2] {
-        for &p in &pred_union {
-            if !closure.pred(r).contains(&p) && p != SINK {
+    for (r, other) in [(r1, r2), (r2, r1)] {
+        let (pred, succ) = (closure.pred(r), closure.succ(r));
+        for p in closure.pred(other).iter() {
+            if !pred.contains(p) && p != SINK {
                 g.add_edge(p, r);
                 added += 1;
             }
         }
-        for &s in &succ_union {
-            if !closure.succ(r).contains(&s) && s != SOURCE {
+        for s in closure.succ(other).iter() {
+            if !succ.contains(s) && s != SOURCE {
                 g.add_edge(r, s);
                 added += 1;
             }
@@ -336,68 +333,43 @@ fn enable_disjunction(g: &mut Gfa, k: usize) -> Option<usize> {
 /// rule then fires on `r` and removes them again, leaving `r?`).
 fn enable_optional(g: &mut Gfa, k: usize) -> Option<usize> {
     let closure = g.closure();
+    let mut succs = closure.mask();
     let mut best: Option<(usize, NodeId)> = None;
     for r in g.inner_nodes() {
         if g.label(r).nullable() {
             continue; // already optional; repairing it gains nothing
         }
-        let preds: Vec<NodeId> = closure
-            .pred(r)
-            .iter()
-            .copied()
-            .filter(|&p| p != r)
-            .collect();
-        let succs: Vec<NodeId> = closure
-            .succ(r)
-            .iter()
-            .copied()
-            .filter(|&s| s != r)
-            .collect();
-        if preds.is_empty() || succs.is_empty() {
+        let preds = closure.pred(r);
+        let num_preds = preds.len() - usize::from(preds.contains(r));
+        succs.copy_from(closure.succ(r));
+        succs.remove(r);
+        let num_succs = succs.as_set().len();
+        if num_preds == 0 || num_succs == 0 {
             continue;
         }
-        let mut missing = 0usize;
-        let mut existing = 0usize;
-        for &p in &preds {
-            for &s in &succs {
-                if closure.succ(p).contains(&s) {
-                    existing += 1;
-                } else {
-                    missing += 1;
-                }
-            }
-        }
+        // Bypass edges Pred(r)\{r} × Succ(r)\{r} absent from the closure.
+        let missing: usize = preds
+            .iter()
+            .filter(|&p| p != r)
+            .map(|p| succs.as_set().difference_len(closure.succ(p)))
+            .sum();
         if missing == 0 {
             continue; // optional rule applies without repair
         }
-        let cond_a = existing > 0;
-        let cond_b = preds.len() == 1 && {
-            let p = preds[0];
-            closure
-                .succ(p)
-                .iter()
-                .filter(|&&s| s != r && s != p)
-                .count()
-                <= k
+        let cond_a = num_preds * num_succs > missing;
+        let cond_b = num_preds == 1 && {
+            let p = preds.iter().find(|&p| p != r).expect("one predecessor");
+            let reach = closure.succ(p);
+            reach.len() - usize::from(reach.contains(r)) - usize::from(reach.contains(p)) <= k
         };
         if (cond_a || cond_b) && best.is_none_or(|(m, _)| missing < m) {
             best = Some((missing, r));
         }
     }
     let (_, r) = best?;
-    let closure = g.closure();
-    let preds: Vec<NodeId> = closure
-        .pred(r)
-        .iter()
-        .copied()
-        .filter(|&p| p != r)
-        .collect();
-    let succs: Vec<NodeId> = closure
-        .succ(r)
-        .iter()
-        .copied()
-        .filter(|&s| s != r)
-        .collect();
+    // The closure above still describes `g`: nothing changed since.
+    let preds: Vec<NodeId> = closure.pred(r).iter().filter(|&p| p != r).collect();
+    let succs: Vec<NodeId> = closure.succ(r).iter().filter(|&s| s != r).collect();
     let mut added = 0usize;
     for &p in &preds {
         for &s in &succs {

@@ -338,43 +338,104 @@ fn ceil_log2(n: u64) -> u64 {
 /// their sample by construction); it exists so the cost function is total.
 pub const INFEASIBLE: u64 = u64::MAX;
 
-/// Bits to encode one word as a walk through the Glushkov automaton of
-/// `nfa`: at each step, `⌈log2⌉` of the number of locally available choices
-/// (distinct continuation symbols, plus the option to stop when the walk
-/// may end here). `None` when the automaton rejects the word.
-fn word_bits(nfa: &Nfa, w: &Word) -> Option<u64> {
-    let mut bits = 0u64;
-    let mut active: Vec<usize> = Vec::new();
-    let mut at_start = true;
-    for step in 0..=w.len() {
-        let (succ, can_stop) = if at_start {
-            (nfa.first.clone(), nfa.accepts_empty)
-        } else {
-            let mut set = BTreeSet::new();
-            for &p in &active {
-                set.extend(nfa.follow[p].iter().copied());
+/// The Glushkov-walk code of [`mdl_cost`], with scratch space that one
+/// call reuses across all its words: the step's candidate positions and
+/// the symbols they carry are deduplicated by epoch stamps instead of
+/// fresh sets, so walking a word allocates nothing.
+struct GlushkovWalk<'a> {
+    nfa: &'a Nfa,
+    /// Per position: the epoch in which it last joined `next`.
+    pos_seen: Vec<u32>,
+    /// Per symbol id: the epoch in which it was last counted.
+    sym_seen: Vec<u32>,
+    epoch: u32,
+    /// Positions the walk is in after the symbols read so far.
+    active: Vec<usize>,
+    /// Positions reachable by the next symbol, deduplicated.
+    next: Vec<usize>,
+}
+
+impl<'a> GlushkovWalk<'a> {
+    fn new(nfa: &'a Nfa) -> Self {
+        let syms = nfa
+            .sym_at
+            .iter()
+            .map(|s| s.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        GlushkovWalk {
+            nfa,
+            pos_seen: vec![0; nfa.len()],
+            sym_seen: vec![0; syms],
+            epoch: 0,
+            active: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    /// A fresh epoch: every stamp from an earlier one reads as unseen.
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.pos_seen.fill(0);
+            self.sym_seen.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+
+    /// Bits to encode one word as a walk through the Glushkov automaton: at
+    /// each step, `⌈log2⌉` of the number of locally available choices
+    /// (distinct continuation symbols, plus the option to stop when the
+    /// walk may end here). `None` when the automaton rejects the word.
+    fn word_bits(&mut self, w: &Word) -> Option<u64> {
+        let nfa = self.nfa;
+        let mut bits = 0u64;
+        self.active.clear();
+        for step in 0..=w.len() {
+            let epoch = self.next_epoch();
+            self.next.clear();
+            let can_stop = if step == 0 {
+                for &q in &nfa.first {
+                    if self.pos_seen[q] != epoch {
+                        self.pos_seen[q] = epoch;
+                        self.next.push(q);
+                    }
+                }
+                nfa.accepts_empty
+            } else {
+                for &p in &self.active {
+                    for &q in &nfa.follow[p] {
+                        if self.pos_seen[q] != epoch {
+                            self.pos_seen[q] = epoch;
+                            self.next.push(q);
+                        }
+                    }
+                }
+                self.active.iter().any(|&p| nfa.last[p])
+            };
+            let mut continuations = 0u64;
+            for &q in &self.next {
+                let s = nfa.sym_at[q].0 as usize;
+                if self.sym_seen[s] != epoch {
+                    self.sym_seen[s] = epoch;
+                    continuations += 1;
+                }
             }
-            let stop = active.iter().any(|&p| nfa.last[p]);
-            (set.into_iter().collect::<Vec<_>>(), stop)
-        };
-        let continuations: BTreeSet<Sym> = succ.iter().map(|&q| nfa.sym_at[q]).collect();
-        let options = continuations.len() as u64 + u64::from(can_stop);
-        if step == w.len() {
-            if !can_stop {
+            bits = bits.saturating_add(ceil_log2(continuations + u64::from(can_stop)));
+            if step == w.len() {
+                return can_stop.then_some(bits);
+            }
+            let c = w[step];
+            self.active.clear();
+            self.active
+                .extend(self.next.iter().copied().filter(|&q| nfa.sym_at[q] == c));
+            if self.active.is_empty() {
                 return None;
             }
-            bits = bits.saturating_add(ceil_log2(options));
-            break;
         }
-        bits = bits.saturating_add(ceil_log2(options));
-        let c = w[step];
-        active = succ.into_iter().filter(|&q| nfa.sym_at[q] == c).collect();
-        if active.is_empty() {
-            return None;
-        }
-        at_start = false;
+        unreachable!("the last step returns")
     }
-    Some(bits)
 }
 
 /// Two-part MDL cost of `model` against the counted sample `words`:
@@ -402,9 +463,10 @@ pub fn mdl_cost(model: &InferredModel, alphabet_len: usize, words: &WordBag) -> 
             let alphabet_and_ops = alphabet_len as u64 + 4;
             let model_bits = (r.token_count() as u64).saturating_mul(ceil_log2(alphabet_and_ops));
             let nfa = Nfa::from_regex(r);
+            let mut walk = GlushkovWalk::new(&nfa);
             let mut data_bits = 0u64;
             for (w, n) in words.iter() {
-                match word_bits(&nfa, w) {
+                match walk.word_bits(w) {
                     Some(b) => data_bits = data_bits.saturating_add(b.saturating_mul(u64::from(n))),
                     None => return INFEASIBLE,
                 }
@@ -470,6 +532,132 @@ pub fn pick_auto(
 mod tests {
     use super::*;
     use dtdinfer_regex::display::render;
+    use proptest::prelude::*;
+
+    /// Bits to encode one word as a walk through the Glushkov automaton of
+    /// `nfa`: at each step, `⌈log2⌉` of the number of locally available choices
+    /// (distinct continuation symbols, plus the option to stop when the walk
+    /// may end here). `None` when the automaton rejects the word.
+    fn reference_word_bits(nfa: &Nfa, w: &Word) -> Option<u64> {
+        let mut bits = 0u64;
+        let mut active: Vec<usize> = Vec::new();
+        let mut at_start = true;
+        for step in 0..=w.len() {
+            let (succ, can_stop) = if at_start {
+                (nfa.first.clone(), nfa.accepts_empty)
+            } else {
+                let mut set = BTreeSet::new();
+                for &p in &active {
+                    set.extend(nfa.follow[p].iter().copied());
+                }
+                let stop = active.iter().any(|&p| nfa.last[p]);
+                (set.into_iter().collect::<Vec<_>>(), stop)
+            };
+            let continuations: BTreeSet<Sym> = succ.iter().map(|&q| nfa.sym_at[q]).collect();
+            let options = continuations.len() as u64 + u64::from(can_stop);
+            if step == w.len() {
+                if !can_stop {
+                    return None;
+                }
+                bits = bits.saturating_add(ceil_log2(options));
+                break;
+            }
+            bits = bits.saturating_add(ceil_log2(options));
+            let c = w[step];
+            active = succ.into_iter().filter(|&q| nfa.sym_at[q] == c).collect();
+            if active.is_empty() {
+                return None;
+            }
+            at_start = false;
+        }
+        Some(bits)
+    }
+
+    /// [`mdl_cost`] of a regex model with [`reference_word_bits`] as the
+    /// data code.
+    fn reference_mdl_cost(r: &Regex, alphabet_len: usize, words: &WordBag) -> u64 {
+        let alphabet_and_ops = alphabet_len as u64 + 4;
+        let model_bits = (r.token_count() as u64).saturating_mul(ceil_log2(alphabet_and_ops));
+        let nfa = Nfa::from_regex(r);
+        let mut data_bits = 0u64;
+        for (w, n) in words.iter() {
+            match reference_word_bits(&nfa, w) {
+                Some(b) => data_bits = data_bits.saturating_add(b.saturating_mul(u64::from(n))),
+                None => return INFEASIBLE,
+            }
+        }
+        model_bits.saturating_add(data_bits)
+    }
+
+    fn arb_regex(n_syms: u32) -> impl Strategy<Value = Regex> {
+        let leaf = (0..n_syms).prop_map(|i| Regex::sym(Sym(i)));
+        leaf.prop_recursive(4, 24, 4, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 2..4).prop_map(Regex::concat),
+                prop::collection::vec(inner.clone(), 2..4).prop_map(Regex::union),
+                inner.clone().prop_map(Regex::optional),
+                inner.clone().prop_map(Regex::plus),
+                inner.prop_map(Regex::star),
+            ]
+        })
+    }
+
+    /// Words over one more symbol than the regexes use, so some words are
+    /// rejected; the empty word is drawn often.
+    fn arb_bag(n_syms: u32) -> impl Strategy<Value = WordBag> {
+        let word = prop::collection::vec((0..=n_syms).prop_map(Sym), 0..7);
+        prop::collection::vec((word, 1u32..4), 0..8).prop_map(|entries| {
+            let mut bag = WordBag::new();
+            for (w, n) in entries {
+                bag.insert_n(w, n);
+            }
+            bag
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The epoch-stamped walk scores every bag exactly as the
+        /// set-based reference does, rejections included.
+        #[test]
+        fn mdl_cost_matches_reference_walk(r in arb_regex(3), words in arb_bag(3)) {
+            let expected = reference_mdl_cost(&r, 4, &words);
+            prop_assert_eq!(mdl_cost(&InferredModel::Regex(r), 4, &words), expected);
+        }
+    }
+
+    /// The reference cases the property draws only by chance: an ε word
+    /// against a model that accepts it and one that does not, a rejected
+    /// word, and one walk reused across many words.
+    #[test]
+    fn mdl_cost_matches_reference_on_edge_cases() {
+        let mut al = Alphabet::new();
+        let cases: &[(&str, &[&str])] = &[
+            ("a?", &["", "a"]),
+            ("a*", &["", "aaaa", "a"]),
+            ("a b", &["", "ab"]),
+            ("a b", &["ba"]),
+            ("(a | b)+ c?", &["abab", "bc", "c", "abc", ""]),
+            ("a (b | c)* a", &["aa", "abca", "acbcbba", "ab"]),
+        ];
+        for &(src, words) in cases {
+            let r = dtdinfer_regex::parser::parse(src, &mut al).expect("parses");
+            let bag = bag(&mut al, words);
+            let cost = mdl_cost(&InferredModel::Regex(r.clone()), al.len(), &bag);
+            assert_eq!(
+                cost,
+                reference_mdl_cost(&r, al.len(), &bag),
+                "{src} on {words:?}"
+            );
+        }
+        let a = dtdinfer_regex::parser::parse("a b", &mut al).expect("parses");
+        let rejected = bag(&mut al, &["ab", ""]);
+        assert_eq!(
+            mdl_cost(&InferredModel::Regex(a), al.len(), &rejected),
+            INFEASIBLE
+        );
+    }
 
     fn bag(al: &mut Alphabet, words: &[&str]) -> WordBag {
         words.iter().map(|w| al.word_from_chars(w)).collect()

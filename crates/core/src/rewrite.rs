@@ -20,7 +20,7 @@
 //! non-nullable labels), so the measure (nodes, edges + non-nullable labels)
 //! decreases lexicographically with every step.
 
-use dtdinfer_automata::gfa::{Closure, Gfa, NodeId};
+use dtdinfer_automata::gfa::{Closure, Gfa, NodeId, NodeMask};
 use dtdinfer_automata::soa::Soa;
 use dtdinfer_regex::ast::Regex;
 use dtdinfer_regex::normalize::{normalize, simplify, star_form};
@@ -203,7 +203,7 @@ fn sole_inner_succ(g: &Gfa, n: NodeId) -> Option<NodeId> {
     if succ.len() != 1 {
         return None;
     }
-    let &t = succ.iter().next().expect("len 1");
+    let t = succ.iter().next().expect("len 1");
     (!t.is_endpoint()).then_some(t)
 }
 
@@ -212,13 +212,22 @@ fn sole_inner_pred(g: &Gfa, n: NodeId) -> Option<NodeId> {
     if pred.len() != 1 {
         return None;
     }
-    let &t = pred.iter().next().expect("len 1");
+    let t = pred.iter().next().expect("len 1");
     (!t.is_endpoint()).then_some(t)
 }
 
 /// Builds the maximal chain containing `start`, if a valid chain of length
 /// ≥ 2 exists.
 fn chain_from(g: &Gfa, start: NodeId) -> Option<Vec<NodeId>> {
+    // Most nodes start no chain: test the first link both ways before
+    // building one.
+    let links_forward =
+        sole_inner_succ(g, start).is_some_and(|q| q != start && g.direct_pred(q).len() == 1);
+    let links_backward =
+        sole_inner_pred(g, start).is_some_and(|p| p != start && g.direct_succ(p).len() == 1);
+    if !links_forward && !links_backward {
+        return None;
+    }
     // Grow forward: each extension q must be the unique successor of the
     // current tail, and must have exactly one incoming edge.
     let mut chain = vec![start];
@@ -255,13 +264,11 @@ fn merge_chain(g: &mut Gfa, chain: &[NodeId]) -> Regex {
     let incoming: Vec<NodeId> = g
         .direct_pred(first)
         .iter()
-        .copied()
         .filter(|p| !chain.contains(p))
         .collect();
     let outgoing: Vec<NodeId> = g
         .direct_succ(last)
         .iter()
-        .copied()
         .filter(|s| !chain.contains(s))
         .collect();
     let closing = g.has_edge(last, first);
@@ -287,10 +294,11 @@ fn merge_chain(g: &mut Gfa, chain: &[NodeId]) -> Regex {
 /// edges between members of `W`, the merged node gets a self-edge.
 fn try_disjunction(g: &mut Gfa, closure: &Closure) -> Option<Step> {
     let nodes: Vec<NodeId> = g.inner_nodes().collect();
+    let mut mask = closure.mask();
     let mut found: Option<Vec<NodeId>> = None;
     'outer: for (i, &r1) in nodes.iter().enumerate() {
         for &r2 in &nodes[i + 1..] {
-            if !disjunction_compatible(g, closure, &[r1, r2]) {
+            if !disjunction_compatible(g, closure, &[r1, r2], &mut mask) {
                 continue;
             }
             // Extend to a maximal compatible set.
@@ -298,7 +306,7 @@ fn try_disjunction(g: &mut Gfa, closure: &Closure) -> Option<Step> {
             for &r in &nodes {
                 if !w.contains(&r) {
                     w.push(r);
-                    if !disjunction_compatible(g, closure, &w) {
+                    if !disjunction_compatible(g, closure, &w, &mut mask) {
                         w.pop();
                     }
                 }
@@ -308,22 +316,26 @@ fn try_disjunction(g: &mut Gfa, closure: &Closure) -> Option<Step> {
         }
     }
     let members = found?;
-    let member_set: BTreeSet<NodeId> = members.iter().copied().collect();
+    mask.clear();
+    for &m in &members {
+        mask.insert(m);
+    }
+    let member_set = mask.as_set();
     // Case (ii) iff G has a direct edge between members (incl. self-edges).
     let internal = members
         .iter()
-        .any(|&m| g.direct_succ(m).iter().any(|t| member_set.contains(t)));
+        .any(|&m| !g.direct_succ(m).is_disjoint(member_set));
     let operands: Vec<Regex> = members.iter().map(|&m| g.label(m).clone()).collect();
     let label = normalize(&Regex::union(operands.clone()));
     let incoming: BTreeSet<NodeId> = members
         .iter()
-        .flat_map(|&m| g.direct_pred(m).iter().copied())
-        .filter(|p| !member_set.contains(p))
+        .flat_map(|&m| g.direct_pred(m).iter())
+        .filter(|&p| !member_set.contains(p))
         .collect();
     let outgoing: BTreeSet<NodeId> = members
         .iter()
-        .flat_map(|&m| g.direct_succ(m).iter().copied())
-        .filter(|s| !member_set.contains(s))
+        .flat_map(|&m| g.direct_succ(m).iter())
+        .filter(|&s| !member_set.contains(s))
         .collect();
     for &m in &members {
         g.remove_node(m);
@@ -348,28 +360,26 @@ fn try_disjunction(g: &mut Gfa, closure: &Closure) -> Option<Step> {
 /// Whether `w` satisfies the disjunction precondition: identical closure
 /// predecessor/successor sets outside `w`, and either no direct edges among
 /// members (case i) or closure-complete interconnection including
-/// self-edges (case ii).
-fn disjunction_compatible(g: &Gfa, closure: &Closure, w: &[NodeId]) -> bool {
-    let wset: BTreeSet<NodeId> = w.iter().copied().collect();
-    let external = |set: &BTreeSet<NodeId>| -> Vec<NodeId> {
-        set.iter().copied().filter(|n| !wset.contains(n)).collect()
-    };
-    let pred0 = external(closure.pred(w[0]));
-    let succ0 = external(closure.succ(w[0]));
-    for &r in &w[1..] {
-        if external(closure.pred(r)) != pred0 || external(closure.succ(r)) != succ0 {
-            return false;
-        }
+/// self-edges (case ii). `mask` is scratch space; it is left holding `w`.
+fn disjunction_compatible(g: &Gfa, closure: &Closure, w: &[NodeId], mask: &mut NodeMask) -> bool {
+    mask.clear();
+    for &m in w {
+        mask.insert(m);
     }
-    let any_direct = w
-        .iter()
-        .any(|&m| g.direct_succ(m).iter().any(|t| wset.contains(t)));
+    let wset = mask.as_set();
+    let (pred0, succ0) = (closure.pred(w[0]), closure.succ(w[0]));
+    let same_outside = w[1..].iter().all(|&r| {
+        closure.pred(r).eq_outside(pred0, wset) && closure.succ(r).eq_outside(succ0, wset)
+    });
+    if !same_outside {
+        return false;
+    }
+    let any_direct = w.iter().any(|&m| !g.direct_succ(m).is_disjoint(wset));
     if !any_direct {
         return true; // case (i): no edges in G between members at all
     }
     // Case (ii): every ordered pair (including self-pairs) connected in G*.
-    w.iter()
-        .all(|&a| w.iter().all(|&b| closure.succ(a).contains(&b)))
+    w.iter().all(|&a| closure.succ(a).covers(wset))
 }
 
 /// **optional**: a non-nullable state `r` such that everything reachable
@@ -386,8 +396,8 @@ fn try_optional(g: &mut Gfa, closure: &Closure) -> Option<Step> {
         let succs = closure.succ(n);
         let precondition = preds
             .iter()
-            .filter(|&&p| p != n)
-            .all(|&p| succs.iter().all(|s| closure.succ(p).contains(s)));
+            .filter(|&p| p != n)
+            .all(|p| closure.succ(p).covers(succs));
         if !precondition {
             return false;
         }
@@ -398,22 +408,12 @@ fn try_optional(g: &mut Gfa, closure: &Closure) -> Option<Step> {
         // least one bypass edge (otherwise the rule would loop forever).
         preds
             .iter()
-            .filter(|&&p| p != n)
-            .any(|&p| succs.iter().any(|&s| s != n && g.has_edge(p, s)))
+            .filter(|&p| p != n)
+            .any(|p| succs.iter().any(|s| s != n && g.has_edge(p, s)))
     });
     let n = candidate?;
-    let preds: Vec<NodeId> = closure
-        .pred(n)
-        .iter()
-        .copied()
-        .filter(|&p| p != n)
-        .collect();
-    let succs: Vec<NodeId> = closure
-        .succ(n)
-        .iter()
-        .copied()
-        .filter(|&s| s != n)
-        .collect();
+    let preds: Vec<NodeId> = closure.pred(n).iter().filter(|&p| p != n).collect();
+    let succs: Vec<NodeId> = closure.succ(n).iter().filter(|&s| s != n).collect();
     let old = g.label(n).clone();
     let new_label = normalize(&Regex::Optional(Box::new(old.clone())));
     g.set_label(n, new_label.clone());
