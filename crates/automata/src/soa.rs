@@ -108,22 +108,6 @@ impl Soa {
         dtdinfer_obs::count("automata.soa.merges", 1);
     }
 
-    /// Rebuilds the automaton under a symbol translation (used when merging
-    /// automata built over different [`Alphabet`]s: translate into the
-    /// target alphabet first, then [`Soa::merge`]).
-    ///
-    /// `f` must be injective on this automaton's states; otherwise distinct
-    /// states would collapse and the language would grow.
-    pub fn remap(&self, mut f: impl FnMut(Sym) -> Sym) -> Soa {
-        Soa {
-            states: self.states.iter().map(|&s| f(s)).collect(),
-            edges: self.edges.iter().map(|&(a, b)| (f(a), f(b))).collect(),
-            initial: self.initial.iter().map(|&s| f(s)).collect(),
-            finals: self.finals.iter().map(|&s| f(s)).collect(),
-            accepts_empty: self.accepts_empty,
-        }
-    }
-
     /// Builds an SOA from an explicit `(I, F, S)` triple.
     pub fn from_parts(
         initial: impl IntoIterator<Item = Sym>,
@@ -450,21 +434,6 @@ mod tests {
         let mut again = ab.clone();
         again.merge(&ab.clone());
         assert_eq!(again, ab);
-    }
-
-    #[test]
-    fn remap_translates_every_component() {
-        let mut al = Alphabet::new();
-        let soa = Soa::learn(&sample(&mut al, &["ab", ""]));
-        // Shift all ids by 10.
-        let shifted = soa.remap(|s| Sym(s.0 + 10));
-        assert!(shifted.accepts_empty);
-        assert_eq!(shifted.num_states(), soa.num_states());
-        assert_eq!(shifted.num_edges(), soa.num_edges());
-        assert!(shifted.accepts(&[Sym(10), Sym(11)]));
-        assert!(!shifted.accepts(&al.word_from_chars("ab")));
-        // Remapping back round-trips.
-        assert_eq!(shifted.remap(|s| Sym(s.0 - 10)), soa);
     }
 
     #[test]

@@ -105,9 +105,10 @@ fn bench_census(c: &mut Criterion) {
 }
 
 fn bench_contextual(c: &mut Criterion) {
-    use dtdinfer_xml::contextual::{infer_contextual, ContextualCorpus};
+    use dtdinfer_xml::contextual::infer_contextual;
+    use dtdinfer_xml::extract::Corpus;
     use dtdinfer_xml::infer::InferenceEngine;
-    let mut corpus = ContextualCorpus::new();
+    let mut corpus = Corpus::contextual();
     for i in 0..200 {
         let doc = format!(
             "<dealer><new><car><model/><price/></car></new>             <used><car><model/><mileage/><price/></car>{}</used></dealer>",

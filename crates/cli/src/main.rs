@@ -543,24 +543,20 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
     if files.is_empty() {
         return Err("no input files".to_owned());
     }
-    if contextual && jobs.is_some() {
-        return Err("--contextual does not support --jobs yet".to_owned());
+    if contextual && numeric.is_some() {
+        return Err("--numeric does not apply to --contextual".to_owned());
     }
     obs.activate()?;
+    let base = if contextual {
+        EngineState::contextual()
+    } else {
+        EngineState::new()
+    };
+    let state = stream_ingest(base, &files, jobs.unwrap_or(1), &obs)?.state;
     if contextual {
         // Context-aware (XSD-strength) inference: one type per
         // (parent, element) context, merged when language-equal.
-        let mut corpus = dtdinfer_xml::contextual::ContextualCorpus::new();
-        for f in &files {
-            let text = std::fs::read_to_string(f).map_err(|e| format!("{f}: {e}"))?;
-            corpus
-                .add_document(&text)
-                .map_err(|e| format!("{f}: {e}"))?;
-            if obs.verbose {
-                eprintln!("dtdinfer: parsed {f}");
-            }
-        }
-        let schema = dtdinfer_xml::contextual::infer_contextual(&corpus, engine);
+        let schema = dtdinfer_xml::contextual::infer_contextual(&state, engine);
         if xsd {
             out!("{}", dtdinfer_xml::contextual::contextual_xsd(&schema));
         } else {
@@ -573,7 +569,6 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
         }
         return obs.finish();
     }
-    let state = stream_ingest(EngineState::new(), &files, jobs.unwrap_or(1), &obs)?.state;
     let (dtd, reports) = state.derive(engine);
     if obs.verbose {
         for r in &reports {

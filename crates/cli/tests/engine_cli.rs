@@ -127,10 +127,29 @@ fn corrupted_and_future_snapshots_are_rejected() {
 fn jobs_rejects_incompatible_flags() {
     let files = testdata();
     let refs: Vec<&str> = files.iter().map(String::as_str).collect();
-    let err = run_err(&[&["infer", "--jobs", "2", "--contextual"][..], &refs].concat());
-    assert!(err.contains("--contextual"), "{err}");
     let err = run_err(&[&["infer", "--jobs", "0"][..], &refs].concat());
     assert!(err.contains("--jobs"), "{err}");
+}
+
+#[test]
+fn contextual_jobs_output_equals_sequential() {
+    let files = testdata();
+    let refs: Vec<&str> = files.iter().map(String::as_str).collect();
+    let sequential = run(&[&["infer", "--contextual"][..], &refs].concat()).stdout;
+    assert!(!sequential.is_empty());
+    let sharded = run(&[&["infer", "--contextual", "--jobs", "2"][..], &refs].concat()).stdout;
+    assert_eq!(sharded, sequential);
+}
+
+#[test]
+fn contextual_rejects_numeric() {
+    let files = testdata();
+    let refs: Vec<&str> = files.iter().map(String::as_str).collect();
+    let err = run_err(&[&["infer", "--contextual", "--numeric", "2"][..], &refs].concat());
+    assert!(
+        err.contains("--contextual") && err.contains("--numeric"),
+        "{err}"
+    );
 }
 
 #[test]

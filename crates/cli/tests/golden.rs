@@ -1,5 +1,5 @@
-//! Golden-output regression tests: the DTD and XSD inferred from the
-//! shipped book catalogs are pinned byte-for-byte against
+//! Golden-output regression tests: the DTD, XSD and contextual types
+//! inferred from the shipped corpora are pinned byte-for-byte against
 //! `testdata/golden/`, for the sequential path and every `--jobs` count.
 //!
 //! These files were produced by the pre-streaming extractor (unbounded
@@ -227,6 +227,66 @@ fn wide_corpus_matches_golden_across_jobs_and_permutations() {
         expected,
         "stats reversed"
     );
+}
+
+/// `--contextual` runs on the one extractor and the one derive path, so
+/// its output is pinned like every other golden: across job counts and
+/// under reversed document order.
+#[test]
+fn contextual_matches_golden_across_jobs_and_permutations() {
+    for (dir, name, extra) in [
+        ("testdata/books", "books.contextual.txt", &[][..]),
+        ("testdata/kore", "songs.contextual.txt", &[][..]),
+        ("testdata/wide", "wide.contextual.txt", &[][..]),
+        ("testdata/wide", "wide.contextual.xsd", &["--xsd"][..]),
+    ] {
+        let files = corpus(dir);
+        let mut reversed = files.clone();
+        reversed.reverse();
+        let expected = golden(name);
+        let args = [&["--contextual"][..], extra].concat();
+        assert_eq!(infer_files(&files, &args), expected, "{name} sequential");
+        for jobs in ["1", "2", "4", "8"] {
+            let sharded = [&args[..], &["--jobs", jobs]].concat();
+            assert_eq!(
+                infer_files(&files, &sharded),
+                expected,
+                "{name} --jobs {jobs}"
+            );
+        }
+        assert_eq!(infer_files(&reversed, &args), expected, "{name} reversed");
+    }
+}
+
+/// In the books and songs corpora every element has a single parent, so
+/// contextual inference must give each element exactly the content spec
+/// plain inference gives it, for every engine: one derive path.
+#[test]
+fn single_parent_contexts_equal_the_plain_dtd() {
+    for dir in ["testdata/books", "testdata/kore"] {
+        let files = corpus(dir);
+        for engine in ["crx", "idtd", "idtd-noise:2", "kore", "auto"] {
+            let dtd = String::from_utf8(infer_files(&files, &["--engine", engine])).unwrap();
+            let mut plain: Vec<String> = dtd
+                .lines()
+                .filter_map(|l| l.strip_prefix("<!ELEMENT ")?.strip_suffix('>'))
+                .map(str::to_owned)
+                .collect();
+            let typed = infer_files(&files, &["--contextual", "--engine", engine]);
+            let mut contextual: Vec<String> = String::from_utf8(typed)
+                .unwrap()
+                .lines()
+                .map(|l| {
+                    let (element, rest) = l.split_once(" (under ").expect("a type line");
+                    let (_, spec) = rest.split_once("): ").expect("a type line");
+                    format!("{element} {spec}")
+                })
+                .collect();
+            plain.sort();
+            contextual.sort();
+            assert_eq!(contextual, plain, "{dir} --engine {engine}");
+        }
+    }
 }
 
 /// `testdata/snapshots/books.v4.snap` was written by a v4 build (the last

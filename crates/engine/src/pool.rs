@@ -201,18 +201,21 @@ pub fn ingest_source<S: DocSource>(
     }
     let next = AtomicUsize::new(0);
     let in_flight = InFlight::default();
+    let blank = base.empty_like();
     let workers: Vec<(EngineState, ShardReport, Option<IngestError>)> =
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..jobs)
                 .map(|shard| {
                     let next = &next;
                     let in_flight = &in_flight;
+                    let blank = &blank;
                     scope.spawn(move || {
                         // The span runs on the worker thread, so traces
                         // carry one distinct tid per worker.
                         let _span = dtdinfer_obs::span("engine.shard");
                         let started = Instant::now();
-                        let mut local = EngineState::new();
+                        // Same naming mode as the base, so the merge lines up.
+                        let mut local = blank.clone();
                         let mut buf = String::new();
                         let mut documents = 0u64;
                         let mut bytes = 0u64;

@@ -26,8 +26,6 @@ use dtdinfer_automata::glushkov::soa_of_sore;
 use dtdinfer_automata::soa::Soa;
 use dtdinfer_engine::pool::ingest;
 use dtdinfer_engine::snapshot;
-use dtdinfer_regex::alphabet::Alphabet;
-use dtdinfer_regex::ast::Regex;
 use dtdinfer_regex::display::render_dtd;
 use dtdinfer_xml::diff::{compare_regexes, Relation};
 use dtdinfer_xml::dtd::{ContentSpec, Dtd};
@@ -192,7 +190,8 @@ pub fn check_case(target: Option<&Dtd>, docs: &[String], opts: &OracleOptions) -
                 let Some(words) = canon.sequences_of(name) else {
                     continue; // element never observed
                 };
-                let Some(mapped) = remap_regex(target_regex, &target.alphabet, &canon.alphabet)
+                let Some(mapped) =
+                    target_regex.try_map_symbols(|s| canon.alphabet.get(target.alphabet.name(s)))
                 else {
                     continue; // some target child never observed: not representative
                 };
@@ -535,32 +534,10 @@ pub fn check_case(target: Option<&Dtd>, docs: &[String], opts: &OracleOptions) -
     out
 }
 
-/// Maps `r` from one alphabet into another by name, without interning:
-/// `None` when some symbol's name is absent from `to`.
-fn remap_regex(r: &Regex, from: &Alphabet, to: &Alphabet) -> Option<Regex> {
-    Some(match r {
-        Regex::Symbol(s) => Regex::Symbol(to.get(from.name(*s))?),
-        Regex::Concat(parts) => Regex::Concat(
-            parts
-                .iter()
-                .map(|p| remap_regex(p, from, to))
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        Regex::Union(parts) => Regex::Union(
-            parts
-                .iter()
-                .map(|p| remap_regex(p, from, to))
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        Regex::Optional(inner) => Regex::Optional(Box::new(remap_regex(inner, from, to)?)),
-        Regex::Plus(inner) => Regex::Plus(Box::new(remap_regex(inner, from, to)?)),
-        Regex::Star(inner) => Regex::Star(Box::new(remap_regex(inner, from, to)?)),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtdinfer_regex::alphabet::Alphabet;
 
     fn docs(sources: &[&str]) -> Vec<String> {
         sources.iter().map(|s| (*s).to_owned()).collect()
@@ -627,9 +604,11 @@ mod tests {
         for n in ["z", "y", "x"] {
             b.intern(n);
         }
-        let mapped = remap_regex(&r, &a, &b).unwrap();
+        // The theorem5 oracle's translation: by name, without interning.
+        let by_name = |to: &Alphabet| r.try_map_symbols(|s| to.get(a.name(s)));
+        let mapped = by_name(&b).unwrap();
         assert_eq!(render_dtd(&mapped, &b), render_dtd(&r, &a));
         let sparse = Alphabet::from_names(["x", "y"]);
-        assert!(remap_regex(&r, &a, &sparse).is_none());
+        assert!(by_name(&sparse).is_none());
     }
 }

@@ -139,6 +139,27 @@ impl Regex {
         }
     }
 
+    /// The same expression, node for node, with every symbol translated
+    /// through `f` (no smart-constructor rewriting); `None` as soon as `f`
+    /// has no image for some symbol.
+    pub fn try_map_symbols(&self, mut f: impl FnMut(Sym) -> Option<Sym>) -> Option<Regex> {
+        self.try_map_with(&mut f)
+    }
+
+    fn try_map_with<F: FnMut(Sym) -> Option<Sym>>(&self, f: &mut F) -> Option<Regex> {
+        let parts = |v: &[Regex], f: &mut F| -> Option<Vec<Regex>> {
+            v.iter().map(|r| r.try_map_with(f)).collect()
+        };
+        Some(match self {
+            Regex::Symbol(s) => Regex::Symbol(f(*s)?),
+            Regex::Concat(v) => Regex::Concat(parts(v, f)?),
+            Regex::Union(v) => Regex::Union(parts(v, f)?),
+            Regex::Optional(r) => Regex::Optional(Box::new(r.try_map_with(f)?)),
+            Regex::Plus(r) => Regex::Plus(Box::new(r.try_map_with(f)?)),
+            Regex::Star(r) => Regex::Star(Box::new(r.try_map_with(f)?)),
+        })
+    }
+
     /// Total number of symbol *occurrences*, counting repeats (unlike
     /// [`Regex::symbols`] which deduplicates).
     pub fn occurrence_count(&self) -> usize {
@@ -246,6 +267,31 @@ mod tests {
         ])
         .nullable());
         assert!(Regex::union(vec![Regex::sym(a), Regex::optional(Regex::sym(b))]).nullable());
+    }
+
+    #[test]
+    fn try_map_symbols_keeps_structure() {
+        let (a, b, c) = syms();
+        // (a | b)+ c? with a and b swapped.
+        let r = Regex::Concat(vec![
+            Regex::Plus(Box::new(Regex::Union(vec![Regex::sym(a), Regex::sym(b)]))),
+            Regex::Optional(Box::new(Regex::sym(c))),
+        ]);
+        let swap = |s: Sym| {
+            Some(if s == a {
+                b
+            } else if s == b {
+                a
+            } else {
+                s
+            })
+        };
+        let swapped = r.try_map_symbols(swap).unwrap();
+        assert_eq!(swapped.symbols(), vec![b, a, c]);
+        assert_eq!(swapped.token_count(), r.token_count());
+        assert_eq!(swapped.try_map_symbols(swap), Some(r.clone()));
+        // A symbol without an image fails the whole map.
+        assert_eq!(r.try_map_symbols(|s| (s != c).then_some(s)), None);
     }
 
     #[test]

@@ -4,75 +4,28 @@
 //! which by [9] can be abstracted by DTDs with vertical regular patterns".
 //! The essential extra power of XSDs over DTDs is *context*: the same
 //! element name may have different content models under different parents
-//! (the 1-local case of the vertical patterns). This module implements that
-//! step:
+//! (the 1-local case of the vertical patterns). Renaming every element to
+//! its `parent/element` context turns that into plain DTD inference over
+//! context names, so this module adds no learner of its own:
 //!
-//! 1. extract child sequences per `(parent, element)` pair instead of per
-//!    element;
-//! 2. infer one content model per pair with the chosen engine;
-//! 3. merge contexts whose inferred languages coincide (so a DTD-expressible
-//!    corpus collapses back to one type per element, recovering exactly the
-//!    DTD inference of the paper);
-//! 4. emit an XSD with one named `complexType` per surviving context.
+//! 1. a [`Corpus::contextual`] corpus extracts counted child words per
+//!    context name, through the one extractor;
+//! 2. [`infer_contextual`] derives a DTD over context names, through the
+//!    one derive path (every engine, mixed and `#PCDATA` content,
+//!    canonical symbol order);
+//! 3. it groups the contexts by element name, relabels each model's child
+//!    contexts to element names, and merges contexts whose languages
+//!    coincide (so a DTD-expressible corpus collapses back to one type per
+//!    element, recovering exactly the DTD inference of the paper);
+//! 4. [`contextual_xsd`] emits one named `complexType` per surviving type.
 
 use crate::diff::{compare_regexes, Relation};
-use crate::infer::InferenceEngine;
-use dtdinfer_core::crx::crx;
-use dtdinfer_core::idtd::{idtd_from_words, idtd_traced, IdtdConfig};
-use dtdinfer_core::kore::{pick_auto, KoreState};
-use dtdinfer_core::model::InferredModel;
-use dtdinfer_core::noise::SupportSoa;
-use dtdinfer_regex::alphabet::{Alphabet, Sym, Word};
+use crate::dtd::{render_spec, ContentSpec};
+use crate::extract::{split_context, Corpus};
+use crate::infer::{infer_dtd, InferenceEngine};
+use dtdinfer_regex::alphabet::{Alphabet, Sym};
 use dtdinfer_regex::ast::Regex;
-use std::collections::BTreeMap;
-
-/// Per-(parent, element) child sequences. The root context uses
-/// `parent = None`.
-#[derive(Debug, Clone, Default)]
-pub struct ContextualCorpus {
-    /// Interned element names.
-    pub alphabet: Alphabet,
-    /// `(parent, element)` → child sequences.
-    pub contexts: BTreeMap<(Option<Sym>, Sym), Vec<Word>>,
-    /// Document root element (first seen).
-    pub root: Option<Sym>,
-}
-
-impl ContextualCorpus {
-    /// Empty corpus.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Parses one document, recording child sequences per context.
-    pub fn add_document(&mut self, doc: &str) -> Result<(), crate::parser::XmlError> {
-        let mut parser = crate::parser::XmlPullParser::new(doc);
-        let mut stack: Vec<(Sym, Word)> = Vec::new();
-        while let Some(ev) = parser.next()? {
-            match ev {
-                crate::parser::XmlEvent::StartElement { name, .. } => {
-                    let sym = self.alphabet.intern(name);
-                    if let Some((_, children)) = stack.last_mut() {
-                        children.push(sym);
-                    } else if self.root.is_none() {
-                        self.root = Some(sym);
-                    }
-                    stack.push((sym, Word::new()));
-                }
-                crate::parser::XmlEvent::EndElement { .. } => {
-                    let (sym, children) = stack.pop().expect("balanced");
-                    let parent = stack.last().map(|&(p, _)| p);
-                    self.contexts
-                        .entry((parent, sym))
-                        .or_default()
-                        .push(children);
-                }
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-}
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One inferred type: an element name, the parent contexts it covers, and
 /// its content model.
@@ -80,18 +33,20 @@ impl ContextualCorpus {
 pub struct ContextualType {
     /// The element this type describes.
     pub element: Sym,
-    /// The parents under which this type applies (`None` = document root).
+    /// The parents under which this type applies (`None` = document root),
+    /// in name order with the root first.
     pub parents: Vec<Option<Sym>>,
-    /// The inferred content model (`None` = always empty).
-    pub model: Option<Regex>,
+    /// The inferred content model, over element names.
+    pub model: ContentSpec,
 }
 
 /// The result of contextual inference.
 #[derive(Debug, Clone)]
 pub struct ContextualSchema {
-    /// Interned element names.
+    /// Element names, name-sorted.
     pub alphabet: Alphabet,
-    /// The inferred types, deterministic order.
+    /// The inferred types: the root element's first, then by element name,
+    /// then by first parent.
     pub types: Vec<ContextualType>,
     /// Document root.
     pub root: Option<Sym>,
@@ -101,209 +56,193 @@ impl ContextualSchema {
     /// Whether any element needed more than one type — i.e. the corpus is
     /// *not* expressible as a DTD and genuinely requires XSD typing.
     pub fn requires_xsd(&self) -> bool {
-        let mut counts: BTreeMap<Sym, usize> = BTreeMap::new();
-        for t in &self.types {
-            *counts.entry(t.element).or_insert(0) += 1;
-        }
-        counts.values().any(|&c| c > 1)
+        self.types.windows(2).any(|w| w[0].element == w[1].element)
     }
 
-    /// Renders one line per type: `element (under parents): model`.
+    /// Renders one line per type: `element (under parents): content spec`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for t in &self.types {
-            let parents: Vec<String> = t
+            let parents: Vec<&str> = t
                 .parents
                 .iter()
-                .map(|p| match p {
-                    Some(s) => self.alphabet.name(*s).to_owned(),
-                    None => "#root".to_owned(),
-                })
+                .map(|p| p.map_or("#root", |s| self.alphabet.name(s)))
                 .collect();
-            let model = match &t.model {
-                Some(r) => dtdinfer_regex::display::render(r, &self.alphabet),
-                None => "EMPTY".to_owned(),
-            };
             out.push_str(&format!(
                 "{} (under {}): {}\n",
                 self.alphabet.name(t.element),
                 parents.join(", "),
-                model
+                render_spec(&t.model, &self.alphabet)
             ));
         }
         out
     }
 }
 
-/// Runs contextual inference: one model per `(parent, element)` context,
-/// then merges contexts of an element whose languages are equal.
-pub fn infer_contextual(corpus: &ContextualCorpus, engine: InferenceEngine) -> ContextualSchema {
-    // Infer per context.
-    type PerElement = BTreeMap<Sym, Vec<(Option<Sym>, Option<Regex>)>>;
-    let mut per_element: PerElement = BTreeMap::new();
-    for (&(parent, element), words) in &corpus.contexts {
-        let model = match engine {
-            InferenceEngine::Crx => crx(words),
-            InferenceEngine::Idtd => idtd_from_words(words),
-            InferenceEngine::IdtdNoise { threshold } => {
-                SupportSoa::learn(words).infer_denoised(threshold)
+/// Runs contextual inference over a [`Corpus::contextual`] corpus: one
+/// content model per `(parent, element)` context, then the contexts of an
+/// element whose languages are equal merge into one type.
+pub fn infer_contextual(corpus: &Corpus, engine: InferenceEngine) -> ContextualSchema {
+    assert!(
+        corpus.is_contextual(),
+        "needs a Corpus::contextual() corpus"
+    );
+    let dtd = infer_dtd(corpus, engine);
+    let names: BTreeSet<&str> = dtd
+        .alphabet
+        .entries()
+        .map(|(_, n)| split_context(n).1)
+        .collect();
+    let alphabet = Alphabet::from_names(names);
+    let element = |ctx: Sym| alphabet.get(split_context(dtd.alphabet.name(ctx)).1);
+    let parent = |ctx: Sym| {
+        let parent = split_context(dtd.alphabet.name(ctx)).0;
+        parent.map(|p| alphabet.get(p).expect("a parent is an element"))
+    };
+    // The children of one context all share its element as their parent,
+    // so relabeling them to element names is injective.
+    let mut per_element: BTreeMap<Sym, Vec<(Option<Sym>, ContentSpec)>> = BTreeMap::new();
+    for (&ctx, spec) in &dtd.elements {
+        let model = match spec {
+            ContentSpec::Children(r) => {
+                ContentSpec::Children(r.try_map_symbols(element).expect("children are elements"))
             }
-            InferenceEngine::Kore => {
-                let bag: dtdinfer_regex::multiset::WordBag = words.iter().cloned().collect();
-                KoreState::learn_counted(&bag).derive().model
-            }
-            InferenceEngine::Auto => {
-                let bag: dtdinfer_regex::multiset::WordBag = words.iter().cloned().collect();
-                let sore = idtd_traced(
-                    &dtdinfer_automata::soa::Soa::learn(bag.words()),
-                    IdtdConfig::default(),
-                );
-                let kore = KoreState::learn_counted(&bag).derive();
-                let chare = crx(words);
-                pick_auto(sore, kore, chare, corpus.alphabet.len(), &bag).model
-            }
+            ContentSpec::Mixed(syms) => ContentSpec::Mixed(
+                syms.iter()
+                    .map(|&s| element(s).expect("an element"))
+                    .collect(),
+            ),
+            other => other.clone(),
         };
-        let model = match model {
-            InferredModel::Regex(r) => Some(r),
-            InferredModel::EpsilonOnly | InferredModel::Empty => None,
-        };
+        let key = element(ctx).expect("a context names an element");
         per_element
-            .entry(element)
+            .entry(key)
             .or_default()
-            .push((parent, model));
+            .push((parent(ctx), model));
     }
-    // Merge language-equal contexts per element.
+    let root = dtd.root.and_then(element);
     let mut types = Vec::new();
-    for (element, contexts) in per_element {
+    for (element, mut contexts) in per_element {
+        contexts.sort_by_key(|&(parent, _)| parent);
         let mut groups: Vec<ContextualType> = Vec::new();
-        'ctx: for (parent, model) in contexts {
-            for group in &mut groups {
-                let same = match (&group.model, &model) {
-                    (None, None) => true,
-                    (Some(a), Some(b)) => {
-                        compare_regexes(a, &corpus.alphabet, b, &corpus.alphabet) == Relation::Equal
-                    }
-                    _ => false,
-                };
-                if same {
-                    group.parents.push(parent);
-                    continue 'ctx;
-                }
+        for (parent, model) in contexts {
+            match groups
+                .iter_mut()
+                .find(|g| same_language(&g.model, &model, &alphabet))
+            {
+                Some(group) => group.parents.push(parent),
+                None => groups.push(ContextualType {
+                    element,
+                    parents: vec![parent],
+                    model,
+                }),
             }
-            groups.push(ContextualType {
-                element,
-                parents: vec![parent],
-                model,
-            });
         }
         types.extend(groups);
     }
+    // Stable: within the root's types and the rest, element then parent
+    // order stands.
+    types.sort_by_key(|t| Some(t.element) != root);
     ContextualSchema {
-        alphabet: corpus.alphabet.clone(),
+        alphabet,
         types,
-        root: corpus.root,
+        root,
     }
 }
 
-/// Emits an XSD with one named `complexType` per contextual type and local
-/// element declarations that reference the right type per parent.
+fn same_language(a: &ContentSpec, b: &ContentSpec, alphabet: &Alphabet) -> bool {
+    match (a, b) {
+        (ContentSpec::Children(x), ContentSpec::Children(y)) => {
+            compare_regexes(x, alphabet, y, alphabet) == Relation::Equal
+        }
+        _ => a == b,
+    }
+}
+
+/// Emits an XSD with one named `complexType` per contextual type. Text-only
+/// and mixed types are `mixed="true"`; a mixed type repeats a choice of its
+/// children.
 pub fn contextual_xsd(schema: &ContextualSchema) -> String {
     let mut out = String::from("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
     out.push_str("<xs:schema xmlns:xs=\"http://www.w3.org/2001/XMLSchema\">\n");
-    // Name types tN in order; remember which (parent, element) uses which.
-    let mut type_name: BTreeMap<usize, String> = BTreeMap::new();
-    let mut by_context: BTreeMap<(Option<Sym>, Sym), usize> = BTreeMap::new();
-    for (i, t) in schema.types.iter().enumerate() {
-        let base = schema.alphabet.name(t.element);
-        let name = if schema
-            .types
-            .iter()
-            .filter(|u| u.element == t.element)
-            .count()
-            == 1
-        {
-            format!("{base}Type")
-        } else {
-            format!("{base}Type{}", i)
+    // `<element>Type`, or `<element>Type<position>` when the element has
+    // several types.
+    let type_names: Vec<String> = schema
+        .types
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let base = schema.alphabet.name(t.element);
+            let shared = schema.types.iter().filter(|u| u.element == t.element);
+            if shared.count() == 1 {
+                format!("{base}Type")
+            } else {
+                format!("{base}Type{i}")
+            }
+        })
+        .collect();
+    for (t, name) in schema.types.iter().zip(&type_names) {
+        let mixed = match t.model {
+            ContentSpec::PcData | ContentSpec::Mixed(_) => " mixed=\"true\"",
+            _ => "",
         };
-        type_name.insert(i, name);
-        for &p in &t.parents {
-            by_context.insert((p, t.element), i);
-        }
-    }
-    for (i, t) in schema.types.iter().enumerate() {
-        out.push_str(&format!("  <xs:complexType name=\"{}\">\n", type_name[&i]));
-        if let Some(model) = &t.model {
-            render_particles(&mut out, model, schema, &by_context, 4);
+        out.push_str(&format!("  <xs:complexType name=\"{name}\"{mixed}>\n"));
+        match &t.model {
+            ContentSpec::Children(model) => render_particles(&mut out, model, &schema.alphabet, 4),
+            ContentSpec::Mixed(children) => {
+                out.push_str("    <xs:choice minOccurs=\"0\" maxOccurs=\"unbounded\">\n");
+                for &c in children {
+                    render_particles(&mut out, &Regex::sym(c), &schema.alphabet, 6);
+                }
+                out.push_str("    </xs:choice>\n");
+            }
+            ContentSpec::Empty | ContentSpec::Any | ContentSpec::PcData => {}
         }
         out.push_str("  </xs:complexType>\n");
     }
     if let Some(root) = schema.root {
-        let idx = by_context.get(&(None, root)).copied();
-        let ty = idx
-            .map(|i| type_name[&i].clone())
-            .unwrap_or_else(|| "xs:anyType".to_owned());
+        let ty = schema
+            .types
+            .iter()
+            .position(|t| t.element == root && t.parents.contains(&None))
+            .map_or("xs:anyType", |i| &type_names[i]);
         out.push_str(&format!(
-            "  <xs:element name=\"{}\" type=\"{}\"/>\n",
-            schema.alphabet.name(root),
-            ty
+            "  <xs:element name=\"{}\" type=\"{ty}\"/>\n",
+            schema.alphabet.name(root)
         ));
     }
     out.push_str("</xs:schema>\n");
     out
 }
 
-fn render_particles(
-    out: &mut String,
-    r: &Regex,
-    schema: &ContextualSchema,
-    _by_context: &BTreeMap<(Option<Sym>, Sym), usize>,
-    indent: usize,
-) {
-    // Structural rendering; local element declarations use the element
-    // name's merged type when unique, xs:anyType otherwise (full
-    // single-type resolution is the subject of the follow-up work the
-    // paper announces).
+fn render_particles(out: &mut String, r: &Regex, alphabet: &Alphabet, indent: usize) {
+    // Structural rendering; local element declarations are typed
+    // xs:anyType (full single-type resolution is the subject of the
+    // follow-up work the paper announces).
     let pad = " ".repeat(indent);
-    match r {
+    let (open, parts): (&str, &[Regex]) = match r {
         Regex::Symbol(s) => {
             out.push_str(&format!(
                 "{pad}<xs:element name=\"{}\" type=\"xs:anyType\"/>\n",
-                schema.alphabet.name(*s)
+                alphabet.name(*s)
             ));
+            return;
         }
-        Regex::Concat(v) => {
-            out.push_str(&format!("{pad}<xs:sequence>\n"));
-            for p in v {
-                render_particles(out, p, schema, _by_context, indent + 2);
-            }
-            out.push_str(&format!("{pad}</xs:sequence>\n"));
-        }
-        Regex::Union(v) => {
-            out.push_str(&format!("{pad}<xs:choice>\n"));
-            for p in v {
-                render_particles(out, p, schema, _by_context, indent + 2);
-            }
-            out.push_str(&format!("{pad}</xs:choice>\n"));
-        }
-        Regex::Optional(p) => {
-            out.push_str(&format!("{pad}<xs:sequence minOccurs=\"0\">\n"));
-            render_particles(out, p, schema, _by_context, indent + 2);
-            out.push_str(&format!("{pad}</xs:sequence>\n"));
-        }
-        Regex::Plus(p) => {
-            out.push_str(&format!("{pad}<xs:sequence maxOccurs=\"unbounded\">\n"));
-            render_particles(out, p, schema, _by_context, indent + 2);
-            out.push_str(&format!("{pad}</xs:sequence>\n"));
-        }
-        Regex::Star(p) => {
-            out.push_str(&format!(
-                "{pad}<xs:sequence minOccurs=\"0\" maxOccurs=\"unbounded\">\n"
-            ));
-            render_particles(out, p, schema, _by_context, indent + 2);
-            out.push_str(&format!("{pad}</xs:sequence>\n"));
-        }
+        Regex::Concat(v) => ("sequence", v),
+        Regex::Union(v) => ("choice", v),
+        Regex::Optional(p) => ("sequence minOccurs=\"0\"", std::slice::from_ref(p)),
+        Regex::Plus(p) => ("sequence maxOccurs=\"unbounded\"", std::slice::from_ref(p)),
+        Regex::Star(p) => (
+            "sequence minOccurs=\"0\" maxOccurs=\"unbounded\"",
+            std::slice::from_ref(p),
+        ),
+    };
+    let close = open.split(' ').next().unwrap_or_default();
+    out.push_str(&format!("{pad}<xs:{open}>\n"));
+    for p in parts {
+        render_particles(out, p, alphabet, indent + 2);
     }
+    out.push_str(&format!("{pad}</xs:{close}>\n"));
 }
 
 #[cfg(test)]
@@ -324,8 +263,8 @@ mod tests {
          </dealer>",
     ];
 
-    fn corpus(docs: &[&str]) -> ContextualCorpus {
-        let mut c = ContextualCorpus::new();
+    fn corpus(docs: &[&str]) -> Corpus {
+        let mut c = Corpus::contextual();
         for d in docs {
             c.add_document(d).unwrap();
         }
@@ -334,12 +273,11 @@ mod tests {
 
     #[test]
     fn context_split_detected() {
-        let c = corpus(DEALER_DOCS);
-        let schema = infer_contextual(&c, InferenceEngine::Crx);
+        let schema = infer_contextual(&corpus(DEALER_DOCS), InferenceEngine::Crx);
         assert!(schema.requires_xsd(), "{}", schema.render());
         // car has two types: (model price) under new, (model mileage price)
         // under used.
-        let car = c.alphabet.get("car").unwrap();
+        let car = schema.alphabet.get("car").unwrap();
         let car_types: Vec<_> = schema.types.iter().filter(|t| t.element == car).collect();
         assert_eq!(car_types.len(), 2, "{}", schema.render());
     }
@@ -350,12 +288,11 @@ mod tests {
             "<r><a><x/></a><b><a><x/></a></b></r>",
             "<r><b><a><x/></a></b></r>",
         ];
-        let c = corpus(&docs);
-        let schema = infer_contextual(&c, InferenceEngine::Crx);
+        let schema = infer_contextual(&corpus(&docs), InferenceEngine::Crx);
         // `a` occurs under r and under b with the same content model → one
         // merged type covering both parents.
         assert!(!schema.requires_xsd(), "{}", schema.render());
-        let a = c.alphabet.get("a").unwrap();
+        let a = schema.alphabet.get("a").unwrap();
         let a_types: Vec<_> = schema.types.iter().filter(|t| t.element == a).collect();
         assert_eq!(a_types.len(), 1);
         assert_eq!(a_types[0].parents.len(), 2);
@@ -363,8 +300,12 @@ mod tests {
 
     #[test]
     fn xsd_emission_wellformed_and_typed() {
-        let c = corpus(DEALER_DOCS);
-        let schema = infer_contextual(&c, InferenceEngine::Idtd);
+        let docs = [
+            DEALER_DOCS[0],
+            DEALER_DOCS[1],
+            "<dealer><note>a <b/> c</note></dealer>",
+        ];
+        let schema = infer_contextual(&corpus(&docs), InferenceEngine::Idtd);
         let xsd = contextual_xsd(&schema);
         assert!(
             crate::parser::XmlPullParser::new(&xsd)
@@ -375,16 +316,35 @@ mod tests {
         // Two distinct car types appear.
         let count = xsd.matches("<xs:complexType name=\"carType").count();
         assert_eq!(count, 2, "{xsd}");
-        assert!(xsd.contains("<xs:element name=\"dealer\""));
+        assert!(xsd.contains("<xs:element name=\"dealer\" type=\"dealerType\"/>"));
+        // Mixed content repeats a choice of its children.
+        assert!(
+            xsd.contains(
+                "  <xs:complexType name=\"noteType\" mixed=\"true\">\n    \
+                 <xs:choice minOccurs=\"0\" maxOccurs=\"unbounded\">\n      \
+                 <xs:element name=\"b\" type=\"xs:anyType\"/>\n    </xs:choice>\n"
+            ),
+            "{xsd}"
+        );
     }
 
     #[test]
     fn render_is_readable() {
-        let c = corpus(DEALER_DOCS);
-        let schema = infer_contextual(&c, InferenceEngine::Crx);
+        let docs = [
+            DEALER_DOCS[0],
+            DEALER_DOCS[1],
+            "<dealer><new><car><model>m</model><price/></car></new></dealer>",
+        ];
+        let schema = infer_contextual(&corpus(&docs), InferenceEngine::Crx);
         let text = schema.render();
-        assert!(text.contains("car (under new)"), "{text}");
-        assert!(text.contains("car (under used)"), "{text}");
-        assert!(text.contains("dealer (under #root)"), "{text}");
+        assert!(text.starts_with("dealer (under #root): "), "{text}");
+        assert!(text.contains("car (under new): (model, price)\n"), "{text}");
+        assert!(
+            text.contains("car (under used): (model, mileage, price)\n"),
+            "{text}"
+        );
+        // Text-only content is #PCDATA, as in plain DTD inference.
+        assert!(text.contains("model (under car): (#PCDATA)\n"), "{text}");
+        assert!(text.contains("price (under car): EMPTY\n"), "{text}");
     }
 }

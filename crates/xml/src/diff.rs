@@ -154,8 +154,12 @@ fn compare_specs(a: &ContentSpec, al_a: &Alphabet, b: &ContentSpec, al_b: &Alpha
 /// alphabets, by name-aligning the symbols into a common alphabet.
 pub fn compare_regexes(ra: &Regex, al_a: &Alphabet, rb: &Regex, al_b: &Alphabet) -> Relation {
     let mut common = Alphabet::new();
-    let map_a = remap(ra, al_a, &mut common);
-    let map_b = remap(rb, al_b, &mut common);
+    let mut by_name = |r: &Regex, from: &Alphabet| {
+        r.try_map_symbols(|s| Some(common.intern(from.name(s))))
+            .expect("interning is total")
+    };
+    let map_a = by_name(ra, al_a);
+    let map_b = by_name(rb, al_b);
     let alpha = joint_alphabet(&[&map_a.symbols(), &map_b.symbols()]);
     let da = Dfa::from_regex(&map_a, &alpha);
     let db = Dfa::from_regex(&map_b, &alpha);
@@ -164,18 +168,6 @@ pub fn compare_regexes(ra: &Regex, al_a: &Alphabet, rb: &Regex, al_b: &Alphabet)
         (true, false) => Relation::Stricter,
         (false, true) => Relation::Looser,
         (false, false) => Relation::Incomparable,
-    }
-}
-
-/// Rebuilds `r` over `common`, translating symbols by name.
-fn remap(r: &Regex, from: &Alphabet, common: &mut Alphabet) -> Regex {
-    match r {
-        Regex::Symbol(s) => Regex::sym(common.intern(from.name(*s))),
-        Regex::Concat(v) => Regex::concat(v.iter().map(|p| remap(p, from, common)).collect()),
-        Regex::Union(v) => Regex::union(v.iter().map(|p| remap(p, from, common)).collect()),
-        Regex::Optional(p) => Regex::optional(remap(p, from, common)),
-        Regex::Plus(p) => Regex::plus(remap(p, from, common)),
-        Regex::Star(p) => Regex::star(remap(p, from, common)),
     }
 }
 

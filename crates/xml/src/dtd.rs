@@ -221,21 +221,7 @@ impl Dtd {
         }
         for sym in syms {
             let name = self.alphabet.name(sym);
-            let spec = match &self.elements[&sym] {
-                ContentSpec::Empty => "EMPTY".to_owned(),
-                ContentSpec::Any => "ANY".to_owned(),
-                ContentSpec::PcData => "(#PCDATA)".to_owned(),
-                ContentSpec::Mixed(syms) => {
-                    let mut s = String::from("(#PCDATA");
-                    for m in syms {
-                        s.push_str(" | ");
-                        s.push_str(self.alphabet.name(*m));
-                    }
-                    s.push_str(")*");
-                    s
-                }
-                ContentSpec::Children(r) => render_dtd(r, &self.alphabet),
-            };
+            let spec = render_spec(&self.elements[&sym], &self.alphabet);
             out.push_str(&format!("<!ELEMENT {name} {spec}>\n"));
             if let Some(defs) = self.attlists.get(&sym) {
                 for def in defs {
@@ -377,7 +363,7 @@ impl Dtd {
                             kind: ViolationKind::ContentModel,
                             element: name.to_owned(),
                             position: Some(i + 1),
-                            expected: Some(self.render_spec(spec)),
+                            expected: Some(render_spec(spec, &self.alphabet)),
                             got: Some((*child).to_owned()),
                             message: format!("<{child}> not allowed in mixed content of <{name}>"),
                         }),
@@ -469,24 +455,24 @@ impl Dtd {
             }
         }
     }
+}
 
-    /// Renders one content spec the way [`Dtd::serialize`] would.
-    fn render_spec(&self, spec: &ContentSpec) -> String {
-        match spec {
-            ContentSpec::Empty => "EMPTY".to_owned(),
-            ContentSpec::Any => "ANY".to_owned(),
-            ContentSpec::PcData => "(#PCDATA)".to_owned(),
-            ContentSpec::Mixed(syms) => {
-                let mut s = String::from("(#PCDATA");
-                for m in syms {
-                    s.push_str(" | ");
-                    s.push_str(self.alphabet.name(*m));
-                }
-                s.push_str(")*");
-                s
+/// Renders one content spec in DTD syntax, as [`Dtd::serialize`] writes it.
+pub fn render_spec(spec: &ContentSpec, alphabet: &Alphabet) -> String {
+    match spec {
+        ContentSpec::Empty => "EMPTY".to_owned(),
+        ContentSpec::Any => "ANY".to_owned(),
+        ContentSpec::PcData => "(#PCDATA)".to_owned(),
+        ContentSpec::Mixed(syms) => {
+            let mut s = String::from("(#PCDATA");
+            for m in syms {
+                s.push_str(" | ");
+                s.push_str(alphabet.name(*m));
             }
-            ContentSpec::Children(r) => render_dtd(r, &self.alphabet),
+            s.push_str(")*");
+            s
         }
+        ContentSpec::Children(r) => render_dtd(r, alphabet),
     }
 }
 

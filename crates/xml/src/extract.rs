@@ -7,6 +7,11 @@
 //! the XSD datatype heuristics of §9. Every learner's output is a pure
 //! function of these facts, so a corpus is the whole inference state: the
 //! sharded engine merges corpora, and snapshots persist them.
+//!
+//! A [`Corpus::contextual`] corpus names each element occurrence by its
+//! context instead, `parent/name` (`/name` for a document root), which
+//! turns 1-local contextual inference into plain inference over context
+//! names (see [`crate::contextual`]).
 
 use crate::parser::{XmlError, XmlEvent, XmlPullParser};
 use crate::samples::SampleBag;
@@ -68,6 +73,8 @@ pub struct ParseArena {
     stack: Vec<(Sym, Word)>,
     /// Recycled `Word` buffers.
     spare: Vec<Word>,
+    /// Context-name buffer (contextual corpora only).
+    key: String,
 }
 
 impl Clone for ParseArena {
@@ -108,12 +115,58 @@ pub struct Corpus {
     pub num_documents: u64,
     /// The scratch [`Corpus::add_document`] reuses across documents.
     scratch: ParseArena,
+    /// Whether elements are interned under context names.
+    contextual: bool,
+}
+
+/// Splits a context name into its parent element (`None` at the document
+/// root) and its element. `/` is not an XML name character, so the split
+/// is unambiguous.
+pub fn split_context(name: &str) -> (Option<&str>, &str) {
+    let (parent, element) = name.split_once('/').expect("a context name");
+    ((!parent.is_empty()).then_some(parent), element)
 }
 
 impl Corpus {
     /// An empty corpus.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty corpus that interns each element under its context name,
+    /// `parent/name`, and each document root as `/name`.
+    pub fn contextual() -> Self {
+        Self {
+            contextual: true,
+            ..Self::default()
+        }
+    }
+
+    /// Whether this corpus interns context names.
+    pub fn is_contextual(&self) -> bool {
+        self.contextual
+    }
+
+    /// An empty corpus in this corpus's naming mode.
+    pub fn empty_like(&self) -> Self {
+        Self {
+            contextual: self.contextual,
+            ..Self::default()
+        }
+    }
+
+    /// The number of distinct element names: the alphabet size, or for a
+    /// contextual corpus the number of elements its contexts name.
+    pub fn element_name_count(&self) -> usize {
+        if !self.contextual {
+            return self.alphabet.len();
+        }
+        let names: std::collections::BTreeSet<&str> = self
+            .alphabet
+            .entries()
+            .map(|(_, n)| split_context(n).1)
+            .collect();
+        names.len()
     }
 
     /// Parses one document and folds its statistics in, attributing any
@@ -164,7 +217,19 @@ impl Corpus {
                 } => {
                     n_elems += 1;
                     n_attrs += attributes.len() as u64;
-                    let sym = self.alphabet.intern(name);
+                    let sym = if self.contextual {
+                        let parent = arena.stack.last().map(|&(p, _)| p);
+                        let key = &mut arena.key;
+                        key.clear();
+                        if let Some(p) = parent {
+                            key.push_str(split_context(self.alphabet.name(p)).1);
+                        }
+                        key.push('/');
+                        key.push_str(name);
+                        self.alphabet.intern(key)
+                    } else {
+                        self.alphabet.intern(name)
+                    };
                     let facts = self.elements.entry(sym).or_default();
                     facts.occurrences += 1;
                     for (attr, value) in &attributes {
@@ -232,8 +297,13 @@ impl Corpus {
     /// name: multisets and samples are unioned, counts added. Commutative
     /// up to alphabet interning order, which derivation canonicalizes
     /// away, so a sharded ingest derives the same DTD however documents
-    /// were distributed over shards.
+    /// were distributed over shards. Both corpora must name elements the
+    /// same way.
     pub fn merge(&mut self, other: &Corpus) {
+        assert_eq!(
+            self.contextual, other.contextual,
+            "merging a contextual corpus with a plain one"
+        );
         let map: Vec<Sym> = other
             .alphabet
             .entries()
@@ -294,6 +364,7 @@ impl Corpus {
             roots,
             num_documents: self.num_documents,
             scratch: ParseArena::new(),
+            contextual: self.contextual,
         }
     }
 
@@ -462,6 +533,36 @@ mod tests {
         // More documents beat name order.
         c.add_document("<z/>").unwrap();
         assert_eq!(c.root(), c.alphabet.get("z"));
+    }
+
+    #[test]
+    fn contextual_corpus_interns_context_names() {
+        let mut c = Corpus::contextual();
+        c.add_document("<r><a><x/></a><b><a/></b></r>").unwrap();
+        let names: Vec<&str> = c.alphabet.entries().map(|(_, n)| n).collect();
+        assert_eq!(names, vec!["/r", "r/a", "a/x", "r/b", "b/a"]);
+        assert_eq!(c.root(), c.alphabet.get("/r"));
+        let words: Vec<String> = c
+            .sequences_of("r/b")
+            .unwrap()
+            .words()
+            .map(|w| c.alphabet.render_word(w, " "))
+            .collect();
+        assert_eq!(words, vec!["b/a"]);
+        assert_eq!(c.element_name_count(), 5 - 1, "a is one element name");
+        assert_eq!(split_context("/r"), (None, "r"));
+        assert_eq!(split_context("b/a"), (Some("b"), "a"));
+        // Canonicalizing and merging keep the mode.
+        let mut merged = c.empty_like();
+        merged.merge(&c.canonicalized());
+        assert!(merged.is_contextual());
+        assert_eq!(merged.sequences_of("r/a").unwrap().total(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "contextual")]
+    fn merge_rejects_mixed_modes() {
+        Corpus::new().merge(&Corpus::contextual());
     }
 
     #[test]

@@ -101,8 +101,11 @@ pub fn infer_dtd_with_stats(corpus: &Corpus, engine: InferenceEngine) -> (Dtd, V
         attlists: Default::default(),
     };
     let mut reports = Vec::with_capacity(corpus.elements.len());
+    // The auto chooser's MDL scores encode symbols over the element names,
+    // which a contextual corpus's alphabet overcounts.
+    let names = corpus.element_name_count();
     for (&sym, facts) in &corpus.elements {
-        let (spec, report) = infer_element(corpus, sym, engine);
+        let (spec, report) = infer_element(corpus, sym, engine, names);
         if dtdinfer_obs::is_enabled() {
             dtdinfer_obs::count_labeled("xml.engine", report.engine, 1);
             dtdinfer_obs::observe("xml.element.expr_size", report.expr_size as u64);
@@ -162,6 +165,7 @@ fn infer_element(
     corpus: &Corpus,
     sym: Sym,
     engine: InferenceEngine,
+    names: usize,
 ) -> (ContentSpec, ElementReport) {
     let started = Instant::now();
     let facts = &corpus.elements[&sym];
@@ -247,7 +251,7 @@ fn infer_element(
                     let sore = idtd_traced(&soa, IdtdConfig::default());
                     let kore = KoreState::learn_counted(&facts.words).derive();
                     let chare = crx_counted(facts.words.iter());
-                    let pick = pick_auto(sore, kore, chare, corpus.alphabet.len(), &facts.words);
+                    let pick = pick_auto(sore, kore, chare, names, &facts.words);
                     engine_used = pick.engine;
                     for e in &pick.events {
                         match e {

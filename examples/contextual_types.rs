@@ -7,7 +7,7 @@
 //! cargo run --example contextual_types
 //! ```
 
-use dtdinfer::xml::contextual::{contextual_xsd, infer_contextual, ContextualCorpus};
+use dtdinfer::xml::contextual::{contextual_xsd, infer_contextual};
 use dtdinfer::xml::extract::Corpus;
 use dtdinfer::xml::infer::{infer_dtd, InferenceEngine};
 
@@ -42,8 +42,9 @@ fn main() {
         );
     }
 
-    // Contextual inference keeps them apart.
-    let mut corpus = ContextualCorpus::new();
+    // Contextual inference keeps them apart: the same extractor, naming
+    // each element by its parent context.
+    let mut corpus = Corpus::contextual();
     for d in DOCUMENTS {
         corpus.add_document(d).unwrap();
     }
